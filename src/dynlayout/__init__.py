@@ -49,7 +49,6 @@ from .placement import (
     apply_movement,
     initial_placement,
     movement_gain,
-    qubit_moving_pass,
     random_layout,
     stage1_greedy,
     stage2_iterate,
@@ -112,7 +111,6 @@ __all__ = [
     "movement_gain",
     "obtain_swaps",
     "parse_circuit",
-    "qubit_moving_pass",
     "random_layout",
     "run_pipeline",
     "schedule",

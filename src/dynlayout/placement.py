@@ -9,9 +9,14 @@ outside qubit, repeatedly apply the currently best-gain movement (locking
 touched qubits, negative gains allowed), then keep the prefix of applied
 movements with the best cumulative gain if that gain is positive.
 
-Movement gains are evaluated against per-set controller population tables so
-one apply-loop iteration costs a handful of small numpy kernels instead of a
-rescan of the whole dependency list.
+Movement gains come from per-set controller population counts.  A set's
+cost depends only on its counts, and a moving qubit shifts them by a vector
+fixed by its role in the set (source, target or both) and the two controllers
+involved, so each apply-loop iteration evaluates the cost form once per
+(set, role, source, destination) and once per (set, role pair, destination)
+over all sets together, then gathers those table entries per qubit.  The cost
+of one iteration grows with the number of set memberships, not with the
+number of candidate movements times set sizes.
 """
 from __future__ import annotations
 
@@ -133,15 +138,28 @@ def movement_gain(
     )
 
 
+_NEG = np.iinfo(np.int64).min // 4
+
+
 class _GainEngine:
     """Vectorized movement-gain evaluation for one CidqList.
 
-    Keeps, per dependency set, the population count of sources and targets in
-    every controller; a set's cost is a bilinear form of those two count rows
+    Counts, per dependency set, the sources and targets under every
+    controller; a set's cost is a bilinear form of those two count rows
     through the hop matrix (with counts collapsed to indicators in pair mode).
-    Candidate movements shift one or two counts, so gains come from evaluating
-    the form on shifted rows.
+
+    A pin is one (set, qubit) membership, typed 2*is_source + is_target.
+    Moving a pin's qubit from controller a to b shifts its set's count rows by
+    a vector fixed by the pin type, a and b, so gains are read from per-set
+    type tables: single moves from D[set, type, a, b] (one evaluation of the
+    form over all sets at once) and exchange corrections from
+    tab[set, type_x, type_y, b] (three evaluations).  Pins gather their
+    entries from the tables and scatter them onto qubits.
     """
+
+    # source / target flag of each pin type
+    TYPE_SRC = np.array([0, 0, 1, 1], dtype=np.int64)
+    TYPE_TGT = np.array([0, 1, 0, 1], dtype=np.int64)
 
     def __init__(self, ld: CidqList, k: int, hop, mode: str):
         self.k = k
@@ -149,67 +167,49 @@ class _GainEngine:
         self.hop = np.asarray(hop, dtype=np.int64)
         self.n = ld.n_qubits
         self.n_sets = len(ld)
-        self.members: list[np.ndarray] = []
-        self.src_flags: list[np.ndarray] = []
-        self.tgt_flags: list[np.ndarray] = []
-        sets_of: list[list[int]] = [[] for _ in range(self.n)]
-        for i, d in enumerate(ld):
-            mem = np.array(sorted(d.qubits), dtype=np.int64)
-            self.members.append(mem)
-            self.src_flags.append(np.array([q in d.measured for q in mem], dtype=np.int64))
-            self.tgt_flags.append(np.array([q in d.targets for q in mem], dtype=np.int64))
-            for q in mem:
-                sets_of[q].append(i)
-        self.sets_of = [np.array(s, dtype=np.int64) for s in sets_of]
-        # per-qubit flags aligned with sets_of[q]
-        self.q_src = [
-            np.array([q in ld[i].measured for i in sets_of[q]], dtype=np.int64)
-            for q in range(self.n)
+        pins = [
+            (i, q, 2 * (q in d.measured) + (q in d.targets))
+            for i, d in enumerate(ld)
+            for q in sorted(d.qubits)
         ]
-        self.q_tgt = [
-            np.array([q in ld[i].targets for i in sets_of[q]], dtype=np.int64)
-            for q in range(self.n)
-        ]
+        self.pin_set, self.pin_q, self.pin_type = (
+            np.array(pins, dtype=np.int64).reshape(-1, 3).T
+        )
+        self.pin_src = self.TYPE_SRC[self.pin_type] == 1
+        self.pin_tgt = self.TYPE_TGT[self.pin_type] == 1
+        eye = np.eye(k, dtype=np.int64)
+        # shift[a, b]: count-row change when one unit moves from controller a to b
+        self.shift = eye[None, :, :] - eye[:, None, :]
 
     def _eval(self, scnt: np.ndarray, tcnt: np.ndarray) -> np.ndarray:
         if self.mode == "pair":
-            scnt = (scnt > 0).astype(np.int64)
-            tcnt = (tcnt > 0).astype(np.int64)
-        return np.einsum("...c,cd,...d->...", scnt, self.hop, tcnt)
+            scnt, tcnt = scnt > 0, tcnt > 0
+        return np.einsum("...d,...d->...", scnt @ self.hop, tcnt)
+
+    def _deltas(self, scnt, tcnt, s_cur, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Cost change of every set when its count rows move by ds / dt, which
+        are (..., k) arrays shared by all sets; shape (sets, ...)."""
+        lead = (slice(None),) + (None,) * (ds.ndim - 1)
+        return self._eval(scnt[lead] + ds, tcnt[lead] + dt) - s_cur[lead]
 
     def tables(self, ctl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source counts, target counts, current per-set cost) under ctl."""
-        scnt = np.zeros((self.n_sets, self.k), dtype=np.int64)
-        tcnt = np.zeros((self.n_sets, self.k), dtype=np.int64)
-        for i in range(self.n_sets):
-            np.add.at(scnt[i], ctl[self.members[i]], self.src_flags[i])
-            np.add.at(tcnt[i], ctl[self.members[i]], self.tgt_flags[i])
+        size = self.n_sets * self.k
+        key = self.pin_set * self.k + ctl[self.pin_q]
+        scnt = np.bincount(key[self.pin_src], minlength=size).reshape(self.n_sets, self.k)
+        tcnt = np.bincount(key[self.pin_tgt], minlength=size).reshape(self.n_sets, self.k)
         return scnt, tcnt, self._eval(scnt, tcnt)
 
     def single_move_deltas(
         self, ctl: np.ndarray, scnt: np.ndarray, tcnt: np.ndarray, s_cur: np.ndarray
     ) -> np.ndarray:
         """drel[q, b]: objective change when qubit q alone moves to controller b."""
+        per_type = (slice(None), None, None, None)
+        ds = self.TYPE_SRC[per_type] * self.shift
+        dt = self.TYPE_TGT[per_type] * self.shift
+        table = self._deltas(scnt, tcnt, s_cur, ds, dt)  # D[set, type, a, b]
         drel = np.zeros((self.n, self.k), dtype=np.int64)
-        for q in range(self.n):
-            idx = self.sets_of[q]
-            if idx.size == 0:
-                continue
-            a = ctl[q]
-            s_sub = scnt[idx].copy()
-            t_sub = tcnt[idx].copy()
-            rows = np.arange(idx.size)
-            s_sub[rows, a] -= self.q_src[q]
-            t_sub[rows, a] -= self.q_tgt[q]
-            base = s_cur[idx]
-            for b in range(self.k):
-                if b == a:
-                    continue
-                s_b = s_sub.copy()
-                t_b = t_sub.copy()
-                s_b[rows, b] += self.q_src[q]
-                t_b[rows, b] += self.q_tgt[q]
-                drel[q, b] = int((self._eval(s_b, t_b) - base).sum())
+        np.add.at(drel, self.pin_q, table[self.pin_set, self.pin_type, ctl[self.pin_q]])
         return drel
 
     def exchange_corrections(
@@ -225,55 +225,47 @@ class _GainEngine:
         qa under ci and qb under an allowed controller sharing a set with qa.
         Nonzero only when both endpoints sit in one set, which the per-qubit
         sums cannot see."""
+        # x of type tx leaves ci for b; y of type ty leaves b for ci
+        ds = self.TYPE_SRC[:, None, None] * self.shift[ci]
+        dt = self.TYPE_TGT[:, None, None] * self.shift[ci]
+        d_x = self._deltas(scnt, tcnt, s_cur, ds, dt)
+        d_y = self._deltas(scnt, tcnt, s_cur, -ds, -dt)
+        d_j = self._deltas(scnt, tcnt, s_cur, ds[:, None] - ds, dt[:, None] - dt)
+        tab = (d_j - d_x[:, :, None] - d_y[:, None]) * allowed  # [set, tx, ty, b]
+        # w[set, tx, qb]: the entry pin (set, qb) adds for a partner of type tx
+        w = np.zeros((self.n_sets, 4, self.n), dtype=np.int64)
+        w[self.pin_set, :, self.pin_q] = tab[self.pin_set, :, self.pin_type, ctl[self.pin_q]]
+        # x[qa, set, tx]: qa under ci is a pin of that type in that set
+        in_ci = ctl[self.pin_q] == ci
+        x = np.zeros((self.n, self.n_sets, 4), dtype=np.int64)
+        x[self.pin_q[in_ci], self.pin_set[in_ci], self.pin_type[in_ci]] = 1
+        rows = np.flatnonzero(ctl == ci)
         corr = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n_sets):
-            mem = self.members[i]
-            mctl = ctl[mem]
-            in_mask = mctl == ci
-            if not in_mask.any():
-                continue
-            out_mask = ~in_mask & allowed[mctl]
-            if not out_mask.any():
-                continue
-            x = mem[in_mask]
-            x_src = self.src_flags[i][in_mask]
-            x_tgt = self.tgt_flags[i][in_mask]
-            s0, t0, base = scnt[i], tcnt[i], s_cur[i]
-            for b in np.unique(mctl[out_mask]):
-                sel = out_mask & (mctl == b)
-                y = mem[sel]
-                y_src = self.src_flags[i][sel]
-                y_tgt = self.tgt_flags[i][sel]
-                u, v = x.size, y.size
-                # x -> b alone
-                s_x = np.tile(s0, (u, 1))
-                t_x = np.tile(t0, (u, 1))
-                s_x[:, ci] -= x_src
-                s_x[:, b] += x_src
-                t_x[:, ci] -= x_tgt
-                t_x[:, b] += x_tgt
-                d_x = self._eval(s_x, t_x) - base
-                # y -> ci alone
-                s_y = np.tile(s0, (v, 1))
-                t_y = np.tile(t0, (v, 1))
-                s_y[:, b] -= y_src
-                s_y[:, ci] += y_src
-                t_y[:, b] -= y_tgt
-                t_y[:, ci] += y_tgt
-                d_y = self._eval(s_y, t_y) - base
-                # both at once
-                s_j = np.broadcast_to(s0, (u, v, self.k)).copy()
-                t_j = np.broadcast_to(t0, (u, v, self.k)).copy()
-                s_j[:, :, ci] += y_src[None, :] - x_src[:, None]
-                s_j[:, :, b] += x_src[:, None] - y_src[None, :]
-                t_j[:, :, ci] += y_tgt[None, :] - x_tgt[:, None]
-                t_j[:, :, b] += x_tgt[:, None] - y_tgt[None, :]
-                d_j = self._eval(s_j, t_j) - base
-                corr[np.ix_(x, y)] += d_j - d_x[:, None] - d_y[None, :]
+        corr[rows] = x[rows].reshape(rows.size, 4 * self.n_sets) @ w.reshape(-1, self.n)
         return corr
 
+    def scores(
+        self,
+        ctl: np.ndarray,
+        ci: int,
+        allowed: np.ndarray,
+        locked: np.ndarray,
+        has_free: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gains of every movement out of ci, _NEG where the movement is not
+        available: rel[q, b] relocates unlocked q to a free slot of allowed
+        controller b; ex[qa, qb] exchanges unlocked qa with unlocked qb under
+        an allowed controller."""
+        scnt, tcnt, s_cur = self.tables(ctl)
+        drel = self.single_move_deltas(ctl, scnt, tcnt, s_cur)
+        corr = self.exchange_corrections(ctl, scnt, tcnt, s_cur, ci, allowed)
+        movable = (ctl == ci) & ~locked
+        rel_valid = movable[:, None] & (allowed & has_free)[None, :]
+        rel = np.where(rel_valid, -drel, _NEG)
+        ex_valid = movable[:, None] & (allowed[ctl] & ~locked)[None, :]
+        ex_gain = -(drel[np.arange(self.n)[:, None], ctl[None, :]] + drel[:, ci][None, :] + corr)
+        return rel, np.where(ex_valid, ex_gain, _NEG)
 
-_NEG = np.iinfo(np.int64).min // 4
 
 
 def run_pass(
@@ -312,27 +304,10 @@ def run_pass(
     for h in free_heaps.values():
         heapq.heapify(h)
     locked = np.zeros(n, dtype=bool)
-    in_ci = ctl == controller
 
     while True:
-        scnt, tcnt, s_cur = engine.tables(ctl)
-        drel = engine.single_move_deltas(ctl, scnt, tcnt, s_cur)
-        corr = engine.exchange_corrections(ctl, scnt, tcnt, s_cur, controller, allowed)
-
-        movable = in_ci & ~locked
-        # relocation gains: qubit q (in C_i, unlocked) -> controller b with a free slot
-        rel_gain = -drel
-        rel_valid = movable[:, None] & allowed[None, :]
-        for b in range(k):
-            if allowed[b] and not free_heaps[b]:
-                rel_valid[:, b] = False
-        rel_score = np.where(rel_valid, rel_gain, _NEG)
-        # exchange gains: qa (in C_i, unlocked) x qb (allowed controller, unlocked)
-        partner_ok = allowed[ctl] & ~locked
-        ex_gain = -(drel[np.arange(n)[:, None], ctl[None, :]] + drel[:, controller][None, :] + corr)
-        ex_valid = movable[:, None] & partner_ok[None, :]
-        ex_score = np.where(ex_valid, ex_gain, _NEG)
-
+        has_free = np.array([bool(free_heaps[b]) for b in range(k)])
+        rel_score, ex_score = engine.scores(ctl, controller, allowed, locked, has_free)
         # argmax over flat arrays: ties resolve to relocations first, then to
         # the lexicographically smallest (qubit, destination) pair
         best_rel_flat = int(np.argmax(rel_score))
@@ -351,7 +326,6 @@ def run_pass(
             heapq.heappush(free_heaps[controller], work.physical(q))
             work.move(q, slot)
             ctl[q] = b
-            in_ci[q] = False
             locked[q] = True
         else:
             qa, qb = divmod(best_ex_flat, n)
@@ -360,7 +334,6 @@ def run_pass(
             )
             work.swap_physical(work.physical(qa), work.physical(qb))
             ctl[qa], ctl[qb] = ctl[qb], ctl[qa]
-            in_ci[qa], in_ci[qb] = False, True
             locked[qa] = locked[qb] = True
         state.applied.append(move)
         state.gains.append(move.gain)
@@ -382,21 +355,6 @@ def run_pass(
             for move in state.applied[: state.prefix_length]:
                 result = apply_movement(result, move, mc)
     return result, state
-
-
-def qubit_moving_pass(
-    mq: LogicalPhysicalMap,
-    controller: int,
-    others,
-    ld: CidqList,
-    mc: QubitControllerMap,
-    topo: ControllerTopology,
-    mode: str = "pair",
-) -> LogicalPhysicalMap:
-    """Movement pass between one controller and a set of others; the returned
-    mapping never costs more than the input."""
-    result, _ = run_pass(mq, controller, others, ld, mc, topo, mode)
-    return result
 
 
 def stage1_greedy(
@@ -467,7 +425,7 @@ def stage2_iterate(
     for _ in range(max(1, sweeps)):
         best, best_cost = None, current_cost
         for ci in range(mc.k):
-            candidate = qubit_moving_pass(
+            candidate, _ = run_pass(
                 current, ci, [c for c in range(mc.k) if c != ci], ld, mc, topo, mode
             )
             cost = total_cost_L(ld, candidate, mc, topo, mode)
@@ -496,7 +454,10 @@ def initial_placement(
     refined = stage2_iterate(seeded, mc, ld, topo, mode, sweeps=sweeps)
     seeded_cost = total_cost_L(ld, seeded, mc, topo, mode)
     refined_cost = total_cost_L(ld, refined, mc, topo, mode)
-    assert refined_cost <= seeded_cost, "refinement must never lose to its seed"
+    if refined_cost > seeded_cost:
+        raise RuntimeError(
+            f"refinement lost to its seed: cost {refined_cost} > seeded {seeded_cost}"
+        )
     return refined
 
 

@@ -49,3 +49,18 @@ def complete_random_mapping(
     for q, p in enumerate(rng.sample(range(mc.m), n_qubits)):
         mq.assign(q, p)
     return mq
+
+
+def random_metric_hops(rng: random.Random, k: int) -> list[list[int]]:
+    """Random symmetric hop matrix with entries in 1..4; metric closure keeps
+    the triangle inequality that topology validation demands."""
+    hop = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            hop[i][j] = hop[j][i] = rng.randint(1, 4)
+    for via in range(k):
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    hop[a][b] = min(hop[a][b], hop[a][via] + hop[via][b])
+    return hop

@@ -36,7 +36,13 @@ from dynlayout import (
     star_topology,
     total_cost_L,
 )
-from helpers import complete_random_mapping, explicit_mapping, random_cidq_list, uniform_setup
+from helpers import (
+    complete_random_mapping,
+    explicit_mapping,
+    random_cidq_list,
+    random_metric_hops,
+    uniform_setup,
+)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -282,21 +288,6 @@ def test_criterion_09_placement_scalability():
     ok = ok and slope <= 5.0
     stamps = {n: round(t, 3) for n, t in zip(sizes, times)}
     verdict(9, ok, f"seconds per size {stamps} (each < 7s), log-log slope {slope:.2f} (<= 5)")
-
-
-def random_metric_hops(rng: random.Random, k: int) -> list[list[int]]:
-    """Random symmetric hop matrix with entries in 1..4; metric closure keeps
-    the triangle inequality that topology validation demands."""
-    hop = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            hop[i][j] = hop[j][i] = rng.randint(1, 4)
-    for via in range(k):
-        for a in range(k):
-            for b in range(k):
-                if a != b:
-                    hop[a][b] = min(hop[a][b], hop[a][via] + hop[via][b])
-    return hop
 
 
 def test_criterion_10_arbitrary_topologies():

@@ -20,13 +20,13 @@ from dynlayout import (
     initial_placement,
     line_device,
     movement_gain,
-    qubit_moving_pass,
     random_layout,
     stage1_greedy,
     stage2_iterate,
     star_topology,
     total_cost_L,
 )
+from dynlayout import placement
 from dynlayout.placement import run_pass
 from helpers import complete_random_mapping, random_cidq_list, uniform_setup
 
@@ -170,7 +170,7 @@ class TestQubitMovingPass:
 
     def test_pass_returns_copy(self):
         ld, topo, mc, mq = fig5_instance()
-        out = qubit_moving_pass(mq, 0, (1,), ld, mc, topo, "pair")
+        out, _ = run_pass(mq, 0, (1,), ld, mc, topo, "pair")
         assert out is not mq
 
 
@@ -258,6 +258,16 @@ class TestInitialPlacement:
         mc = contiguous_assignment(127, 4)
         mq = initial_placement(mc, ld, topo, device, mode="pair", seed=0)
         assert total_cost_L(ld, mq, mc, topo, "pair") == 0
+
+    def test_refinement_loss_raises(self, monkeypatch):
+        ld = CidqList((CidqSet(0, frozenset({0}), frozenset({1})),), 2)
+        topo, mc = uniform_setup(2, 2, 2)
+        from helpers import explicit_mapping
+
+        worse = explicit_mapping([0, 2], 4)  # splits the set: cost 1, the seed costs 0
+        monkeypatch.setattr(placement, "stage2_iterate", lambda *args, **kwargs: worse)
+        with pytest.raises(RuntimeError, match="refinement lost to its seed"):
+            initial_placement(mc, ld, topo, line_device(4), mode="pair", seed=0)
 
     def test_device_size_mismatch_rejected(self):
         ld = extract_cidq_sets(generate("dqft", 4))
