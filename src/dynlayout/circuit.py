@@ -198,17 +198,6 @@ class OpDag:
             raise CircuitError("dependency cycle")  # unreachable for valid circuits
         return out
 
-    def reachable_from(self, node: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            for y in self.succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
 
 def build_dag(circuit: Circuit) -> OpDag:
     return OpDag(circuit)

@@ -40,6 +40,7 @@ from .qasm import ParseError, parse_circuit, serialize_circuit
 LAYOUT_SCHEMA_VERSION = 1
 
 _BENCH_RE = re.compile(r"^(dqft|ipe|pe|cc|random)(\d+)(?:x(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(?:\d+|\d*\.\d+)(?:/\d+)?$")
 
 
 class CliError(Exception):
@@ -71,20 +72,35 @@ def _parse_device(token: str):
     raise CliError(f"unknown device {token!r} (use heavy_hex_127, line:M, or grid:RxC)")
 
 
+def _shortcut_setup(device, controllers: str, k: int):
+    """(topology, device, assignment) for k controllers of the given kind,
+    each owning a contiguous block of the device."""
+    if controllers == "star":
+        topo = star_topology(k)
+    elif controllers == "star_via_router":
+        topo = star_via_router_topology(k)
+    else:
+        raise CliError(f"unknown controllers kind {controllers!r}")
+    return topo, device, contiguous_assignment(device.m, k)
+
+
 def _load_setup(args):
     """Resolve (topology, device, assignment) from --topology or shortcuts."""
     if args.topology:
         return load_topology(args.topology)
     if args.k is None:
         raise CliError("either --topology or --k is required")
-    device = _parse_device(args.device)
-    if args.controllers == "star":
-        topo = star_topology(args.k)
-    elif args.controllers == "star_via_router":
-        topo = star_via_router_topology(args.k)
-    else:
-        raise CliError(f"unknown controllers kind {args.controllers!r}")
-    return topo, device, contiguous_assignment(device.m, args.k)
+    return _shortcut_setup(_parse_device(args.device), args.controllers, args.k)
+
+
+def _parse_tie_epsilon(text: str) -> Fraction:
+    """--tie-epsilon: a non-negative rational written as 0, 3, 0.25 or 1/2."""
+    if _RATIONAL_RE.match(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise CliError(f"--tie-epsilon takes a non-negative rational (0, 0.25, 1/2), got {text!r}")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -150,7 +166,7 @@ def cmd_route(args) -> int:
         mode=args.mode,
         seed=args.seed,
         cost_mode=args.cost_mode,
-        tie_epsilon=Fraction(args.tie_epsilon),
+        tie_epsilon=_parse_tie_epsilon(args.tie_epsilon),
         sweeps=args.sweeps,
         layout=layout,
     )
@@ -186,17 +202,13 @@ def _parse_int_list(text: str) -> list[int]:
         raise CliError(f"expected integers or a..b range, got {text!r}") from None
 
 
-def _sweep_cell(cell: dict) -> dict:
-    """One (benchmark, k, seed) cell: paired class and baseline runs."""
+def _sweep_cell(cell: dict, setup: tuple) -> dict:
+    """One (benchmark, k, seed) cell: paired class and baseline runs on the
+    resolved (topology, device, assignment) of its k."""
     out = dict(cell)
+    topo, device, mc = setup
     try:
         circuit = _load_circuit(cell["benchmark"], seed=cell["seed"])
-        device = _parse_device(cell["device"])
-        if cell["controllers"] == "star":
-            topo = star_topology(cell["k"])
-        else:
-            topo = star_via_router_topology(cell["k"])
-        mc = contiguous_assignment(device.m, cell["k"])
         out["n"] = circuit.n_qubits
         for mode in MODES:
             _, report = run_pipeline(
@@ -248,25 +260,26 @@ def cmd_sweep(args) -> int:
     benchmarks = [b for b in args.benchmarks.split(",") if b]
     ks = _parse_int_list(args.k_values)
     seeds = _parse_int_list(args.seeds)
+    device = _parse_device(args.device)
+    setups = {k: _shortcut_setup(device, args.controllers, k) for k in ks}
     cells = [
         {
             "benchmark": bench,
             "k": k,
             "seed": seed,
             "cost_mode": args.cost_mode,
-            "device": args.device,
-            "controllers": args.controllers,
             "sweeps": args.sweeps,
         }
         for bench in benchmarks
         for k in ks
         for seed in seeds
     ]
+    cell_setups = [setups[cell["k"]] for cell in cells]
     if args.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+            results = list(pool.map(_sweep_cell, cells, cell_setups))
     else:
-        results = [_sweep_cell(cell) for cell in cells]
+        results = [_sweep_cell(cell, setup) for cell, setup in zip(cells, cell_setups)]
 
     rows = []
     for res in results:

@@ -3,15 +3,20 @@
 The routing loop is look-ahead distance-minimizing in the usual style: run
 every front-layer op whose operands allow it, and when only non-adjacent
 two-qubit gates remain, insert the SWAP that minimizes a depth cost over the
-front layer plus a bounded window of upcoming two-qubit gates.  Depth scores
-are exact rationals, so "equally good" SWAPs tie exactly; the tie is then
-broken by the communication cost of the dependency sets active near the
-front, evaluated under each tied SWAP, with a seeded-random pick among the
-remaining best.  A baseline variant replaces that tie-break with the seeded
-pick alone, leaving every other decision identical.
+front layer plus a bounded window of upcoming two-qubit gates.  The window
+and the gate weights depend only on the front layer, so they are built once
+per front and reused while SWAPs go in against it.  Scores are integers (the
+depth cost scaled by a per-front constant), and each candidate is scored by
+the change in weighted distance of the gates touching its two qubits, so
+"equally good" SWAPs tie exactly; the tie is then broken by the
+communication cost of the dependency sets active near the front, evaluated
+under each tied SWAP, with a seeded-random pick among the remaining best.
+A baseline variant replaces that tie-break with the seeded pick alone,
+leaving every other decision identical.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,16 +69,8 @@ def obtain_swaps(
 ) -> list[tuple[int, int]]:
     """Candidate SWAPs: every device edge touching the physical image of any
     qubit in the front layer's two-qubit gates, deduplicated and sorted."""
-    phys = set()
-    for op in front_ops:
-        if op.is_two_qubit:
-            for q in op.qubits:
-                phys.add(mq.physical(q))
-    candidates = set()
-    for p in phys:
-        for nb in device.neighbors(p):
-            candidates.add((min(p, nb), max(p, nb)))
-    return sorted(candidates)
+    phys = {mq.physical(q) for op in front_ops if op.is_two_qubit for q in op.qubits}
+    return sorted({(p, nb) if p < nb else (nb, p) for p in phys for nb in device.neighbors(p)})
 
 
 def extended_set(front: list[int], dag: OpDag) -> list[int]:
@@ -97,12 +94,27 @@ def extended_set(front: list[int], dag: OpDag) -> list[int]:
     return out
 
 
-def _distance_sum(nodes, ops, mq: LogicalPhysicalMap, device: DeviceGraph) -> int:
-    total = 0
-    for node in nodes:
-        a, b = ops[node].qubits
-        total += device.dist[mq.physical(a)][mq.physical(b)]
-    return total
+def _lookahead(front: list[int], dag: OpDag) -> tuple[list[tuple[int, int, int]], int]:
+    """The depth cost's weighted gates and its scale.
+
+    Returns (gates, scale) with gates as (logical a, logical b, weight) for
+    every front-layer two-qubit op and every extended-set op, such that the
+    depth cost under any mapping is sum(weight * distance) / scale.  With F
+    the front's two-qubit ops, E the extended set and w the look-ahead
+    weight p/q, the cost sum_F/|F| + w*sum_E/|E| is scaled by q|F||E|; without
+    look-ahead it is sum_F/|F|, scaled by |F|.
+    """
+    ops = dag.circuit.ops
+    f2 = [node for node in front if ops[node].is_two_qubit]
+    if not f2:
+        return [], 1
+    ext = extended_set(front, dag)
+    if not ext:
+        return [(*ops[node].qubits, 1) for node in f2], len(f2)
+    w = EXTENDED_SET_WEIGHT
+    gates = [(*ops[node].qubits, w.denominator * len(ext)) for node in f2]
+    gates += [(*ops[node].qubits, w.numerator * len(f2)) for node in ext]
+    return gates, w.denominator * len(f2) * len(ext)
 
 
 def depth_cost(
@@ -111,33 +123,62 @@ def depth_cost(
     """Average front-layer distance plus half the average look-ahead distance,
     as an exact rational (the look-ahead term drops out when no two-qubit op
     is upcoming)."""
-    ops = dag.circuit.ops
-    f2 = [node for node in front if ops[node].is_two_qubit]
-    if not f2:
-        return Fraction(0)
-    ext = extended_set(front, dag)
-    score = Fraction(_distance_sum(f2, ops, mq, device), len(f2))
-    if ext:
-        score += EXTENDED_SET_WEIGHT * Fraction(_distance_sum(ext, ops, mq, device), len(ext))
-    return score
+    gates, scale = _lookahead(front, dag)
+    dist, phys = device.dist, mq.physical
+    return Fraction(sum(w * dist[phys(a)][phys(b)] for a, b, w in gates), scale)
+
+
+def _swap_deltas(
+    candidates: list[tuple[int, int]],
+    gates: list[tuple[int, int, int]],
+    mq: LogicalPhysicalMap,
+    device: DeviceGraph,
+) -> list[int]:
+    """Scaled depth-cost change of each candidate SWAP under mq.
+
+    Only gates with an operand on one of the two swapped qubits move; a gate
+    on both keeps its distance, so it adds nothing."""
+    dist, fwd = device.dist, mq.forward
+    touching: dict[int, list[tuple[int, int]]] = {}  # physical -> (other end, weight)
+    for a, b, w in gates:
+        pa, pb = fwd[a], fwd[b]
+        touching.setdefault(pa, []).append((pb, w))
+        touching.setdefault(pb, []).append((pa, w))
+    deltas = []
+    for x, y in candidates:
+        dx, dy = dist[x], dist[y]
+        delta = 0
+        for other, w in touching.get(x, ()):
+            if other != y:
+                delta += w * (dy[other] - dx[other])
+        for other, w in touching.get(y, ()):
+            if other != x:
+                delta += w * (dx[other] - dy[other])
+        deltas.append(delta)
+    return deltas
+
+
+def target_owners(ld: CidqList) -> dict[int, list[CidqSet]]:
+    """Op index -> the dependency sets holding that op as a conditional target."""
+    owners: dict[int, list[CidqSet]] = {}
+    for d in ld:
+        for op_idx in d.target_ops:
+            owners.setdefault(op_idx, []).append(d)
+    return owners
 
 
 def active_cidq_sets(
-    front: list[int], dag: OpDag, mq_temp: LogicalPhysicalMap, ld: CidqList
+    front: list[int], dag: OpDag, owners: dict[int, list[CidqSet]]
 ) -> list[CidqSet]:
     """Sets owning a conditional op inside the two-layer window made of the
-    front layer and its direct DAG successors.  The window is structural, so
-    the hypothetical mapping does not change which sets are active."""
-    del mq_temp
-    owner: dict[int, list[int]] = {}
-    for d in ld:
-        for op_idx in d.target_ops:
-            owner.setdefault(op_idx, []).append(d.id)
+    front layer and its direct DAG successors, ordered by id.  The window is
+    structural, so no mapping changes which sets are active.  owners is
+    target_owners(ld)."""
     window = set(front)
     for node in front:
         window.update(dag.succ[node])
-    ids = sorted({sid for node in window for sid in owner.get(node, ())})
-    return [ld[sid] for sid in ids]
+    active = {d.id: d for node in window for d in owners.get(node, ())}
+    return [active[sid] for sid in sorted(active)]
 
 
 def iccs_score(
@@ -179,13 +220,19 @@ def schedule(
     active dependency sets; "random" (the baseline ablation) picks among the
     depth-tied SWAPs directly.  Both use the seeded generator, so a fixed
     (circuit, layout, seed, config) tuple reproduces the output exactly.
+    tie_epsilon (finite, >= 0) widens the tie: every candidate whose depth
+    cost is within it of the best joins the argmin set.
     """
     if tie_break not in ("iccs", "random"):
         raise ValueError(f"tie_break must be 'iccs' or 'random', got {tie_break!r}")
+    if not 0 <= tie_epsilon < math.inf:
+        raise ValueError(f"tie_epsilon must be finite and non-negative, got {tie_epsilon}")
+    epsilon = Fraction(tie_epsilon)
     if not mq0.is_complete():
         raise ConfigError("routing needs a complete initial layout")
     if ld is None:
         ld = extract_cidq_sets(circuit)
+    owners = target_owners(ld)
     rng = random.Random(seed)
     mq = mq0.copy()
     ops = circuit.ops
@@ -197,6 +244,7 @@ def schedule(
     swaps_inserted = 0
     stagnant_swaps = 0
     livelock_limit = 3 * device.m
+    gates: list[tuple[int, int, int]] | None = None  # look-ahead of the current front
 
     def emit_swap(pa: int, pb: int) -> None:
         nonlocal swaps_inserted, stagnant_swaps
@@ -231,6 +279,7 @@ def schedule(
         if ready:
             for node in ready:
                 execute(node)
+            gates = None
             continue
 
         front_nodes = sorted(front)
@@ -247,19 +296,20 @@ def schedule(
             stagnant_swaps = 0
             continue
 
+        if gates is None:
+            gates, scale = _lookahead(front_nodes, dag)
+            # scores are integers, so s - best <= eps*scale iff s <= best + slack
+            slack = math.floor(epsilon * scale)
         front_ops = [ops[node] for node in front_nodes]
         candidates = obtain_swaps(front_ops, mq, device)
-        scores: list[Fraction] = []
-        for pa, pb in candidates:
-            mq.swap_physical(pa, pb)
-            scores.append(depth_cost(front_nodes, dag, device, mq))
-            mq.swap_physical(pa, pb)
-        best = min(scores)
-        similar = [c for c, s in zip(candidates, scores) if s - best <= tie_epsilon]
+        # each score is the scaled depth cost after the SWAP minus the one before
+        scores = _swap_deltas(candidates, gates, mq, device)
+        limit = min(scores) + slack
+        similar = [c for c, s in zip(candidates, scores) if s <= limit]
         if len(similar) == 1:
             chosen = similar[0]
         elif tie_break == "iccs":
-            active = active_cidq_sets(front_nodes, dag, mq, ld)
+            active = active_cidq_sets(front_nodes, dag, owners)
             comm = [iccs_score(c, mq, active, mc, topo, cost_mode) for c in similar]
             low = min(comm)
             chosen = rng.choice([c for c, s in zip(similar, comm) if s == low])

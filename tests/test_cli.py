@@ -148,6 +148,28 @@ class TestTranspile:
         assert json.loads(rep.read_text())["config"]["k_controllers"] == 2
 
 
+class TestTieEpsilon:
+    @pytest.mark.parametrize("mode,text", [
+        ("baseline", "-1"), ("class", "-1"), ("class", "1/0"), ("baseline", "1/0"),
+        ("class", "abc"), ("class", "nan"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, capsys, mode, text):
+        assert main([
+            "transpile", "--circuit", "cc8", "--k", "2", "--device", "line:8",
+            "--mode", mode, f"--tie-epsilon={text}",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tie-epsilon") and err.count("\n") == 1
+
+    def test_rational_value_accepted(self, tmp_path):
+        rep = tmp_path / "r.json"
+        assert main([
+            "transpile", "--circuit", "cc8", "--k", "2", "--device", "line:8",
+            "--tie-epsilon", "1/2", "--report", str(rep),
+        ]) == 0
+        assert json.loads(rep.read_text())["config"]["tie_epsilon"] == "1/2"
+
+
 class TestOracleCmd:
     def test_fig4_instance(self, tmp_path, capsys):
         assert main(["oracle", "--circuit", "dqft4", "--k", "2", "--device", "line:4"]) == 0
@@ -201,6 +223,11 @@ class TestSweep:
         good = [r for r in rows if not r["error"]]
         bad = [r for r in rows if r["error"]]
         assert len(good) == 1 and len(bad) == 1
+
+    def test_bad_device_exits_2_with_one_line(self, capsys):
+        assert main(["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown device") and err.count("\n") == 1
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlayout import (
     Circuit,
@@ -18,14 +20,16 @@ from dynlayout import (
     depth_cost,
     extract_cidq_sets,
     generate,
+    grid_device,
     iccs_score,
     line_device,
     obtain_swaps,
+    random_layout,
     schedule,
     star_topology,
     total_cost_L,
 )
-from dynlayout.scheduler import extended_set
+from dynlayout.scheduler import extended_set, target_owners
 from helpers import explicit_mapping
 
 
@@ -124,11 +128,10 @@ class TestActiveSets:
         c = generate("dqft", 4)
         dag = build_dag(c)
         ld = extract_cidq_sets(c)
-        mq = identity_mapping(4, 4)
         # front = first op (measure q0 comes second; execute h first)
         # find the measure of q0 and use it as the front
         measure_idx = next(i for i, op in enumerate(c.ops) if op.is_measure)
-        active = active_cidq_sets([measure_idx], dag, mq, ld)
+        active = active_cidq_sets([measure_idx], dag, target_owners(ld))
         assert [d.id for d in active] == [0]
 
     def test_deduplicates_sets(self):
@@ -141,14 +144,14 @@ class TestActiveSets:
         c.validate()
         dag = build_dag(c)
         ld = extract_cidq_sets(c)
-        active = active_cidq_sets([0], dag, identity_mapping(2, 2), ld)
+        active = active_cidq_sets([0], dag, target_owners(ld))
         assert len(active) == 1
 
     def test_static_window_empty(self):
         c = Circuit(2, 0, (Operation("cx", (0, 1)),))
         dag = build_dag(c)
         ld = extract_cidq_sets(c)
-        assert active_cidq_sets([0], dag, identity_mapping(2, 2), ld) == []
+        assert active_cidq_sets([0], dag, target_owners(ld)) == []
 
 
 class TestIccsScore:
@@ -260,6 +263,87 @@ class TestSchedule:
         assert widest >= max(len(d.depth_argmin) for d in exact.decisions)
         # loose still routes correctly
         assert sorted(e[1] for e in loose.log if e[0] == "op") == list(range(len(c.ops)))
+
+    @pytest.mark.parametrize("eps", [Fraction(-1), -0.5, float("nan"), float("inf")])
+    def test_bad_tie_epsilon_rejected(self, eps):
+        c = generate("random", 4, n_blocks=3, seed=0)
+        mq0 = identity_mapping(4, 4)
+        with pytest.raises(ValueError, match="tie_epsilon"):
+            schedule(c, build_dag(c), mq0, contiguous_assignment(4, 2), star_topology(2),
+                     line_device(4), tie_epsilon=eps)
+
+
+def reference_depth_cost(front, dag, device, mq):
+    """The depth cost written out from its definition, independently of the
+    scaled weights the router and depth_cost share."""
+    ops = dag.circuit.ops
+
+    def mean_distance(nodes):
+        total = sum(device.dist[mq.physical(ops[n].qubits[0])][mq.physical(ops[n].qubits[1])]
+                    for n in nodes)
+        return Fraction(total, len(nodes))
+
+    f2 = [n for n in front if ops[n].is_two_qubit]
+    if not f2:
+        return Fraction(0)
+    ext = extended_set(front, dag)
+    return mean_distance(f2) + (Fraction(1, 2) * mean_distance(ext) if ext else 0)
+
+
+PROPERTY_DEVICES = {
+    "line4": line_device(4),
+    "line6": line_device(6),
+    "line7": line_device(7),
+    "grid2x3": grid_device(2, 3),
+    "grid3x3": grid_device(3, 3),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(PROPERTY_DEVICES)),
+    st.integers(0, 10**6),
+    st.integers(1, 10),
+    st.sampled_from([Fraction(0), Fraction(1, 2)]),
+    st.sampled_from(["iccs", "random"]),
+)
+def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, tie_break):
+    """Replaying the log, every non-forced decision's depth_argmin is exactly
+    the set of candidates whose depth_cost with the SWAP applied lies within
+    tie_epsilon of the minimum."""
+    dev = PROPERTY_DEVICES[device_name]
+    n = 2 + seed % (dev.m - 1)
+    c = generate("random", n, n_blocks=blocks, seed=seed)
+    dag = build_dag(c)
+    mq = random_layout(n, dev.m, seed=seed)
+    routed = schedule(c, dag, mq, contiguous_assignment(dev.m, 2), star_topology(2), dev,
+                      seed=seed, tie_break=tie_break, tie_epsilon=eps)
+    indeg = [len(dag.pred[i]) for i in range(dag.n_nodes)]
+    front = set(dag.front_layer())
+    decisions = iter(routed.decisions)
+    checked = 0
+    for entry in routed.log:
+        if entry[0] == "op":
+            front.discard(entry[1])
+            for succ in dag.succ[entry[1]]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    front.add(succ)
+            continue
+        decision = next(decisions)
+        if not decision.forced:
+            nodes = sorted(front)
+            costs = {}
+            for cand in obtain_swaps([c.ops[i] for i in nodes], mq, dev):
+                mq.swap_physical(*cand)
+                costs[cand] = depth_cost(nodes, dag, dev, mq)
+                assert costs[cand] == reference_depth_cost(nodes, dag, dev, mq)
+                mq.swap_physical(*cand)
+            best = min(costs.values())
+            assert decision.depth_argmin == tuple(x for x in costs if costs[x] - best <= eps)
+            checked += 1
+        mq.swap_physical(*entry[1:])
+    assert checked == sum(not d.forced for d in routed.decisions)
 
 
 class TestAccumulate:
