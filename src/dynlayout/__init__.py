@@ -12,7 +12,6 @@ from .circuit import (
     OpDag,
     Operation,
     build_dag,
-    count_ops,
     depth,
 )
 from .cidq import (
@@ -21,7 +20,6 @@ from .cidq import (
     CidqSet,
     FeedforwardHypergraph,
     build_hypergraph,
-    cidq_cost_S,
     extract_cidq_sets,
     total_cost_L,
 )
@@ -93,10 +91,8 @@ __all__ = [
     "brute_force_placement",
     "build_dag",
     "build_hypergraph",
-    "cidq_cost_S",
     "contiguous_assignment",
     "controller_of",
-    "count_ops",
     "depth",
     "depth_cost",
     "extract_cidq_sets",

@@ -6,10 +6,15 @@ conditioned on that outcome.  When the measured qubit and a target live under
 different controllers, the outcome must be forwarded between controllers, and
 the hop distance between them is the number of communication steps paid.
 The total over all sets is the quantity the placement stage minimizes.
+`population_cost` is the one definition of a set's cost: placement, the
+router's tie-break, the post-routing replay and the oracle all evaluate it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .circuit import Circuit
 from .control import ControllerTopology, LogicalPhysicalMap, QubitControllerMap
@@ -136,32 +141,37 @@ def build_hypergraph(ld: CidqList, n_qubits: int) -> FeedforwardHypergraph:
     return FeedforwardHypergraph(n_qubits, edges, tuple(tuple(x) for x in incidence))
 
 
-def _check_mode(mode: str) -> None:
+def population_cost(scnt, tcnt, hop, mode: str = "pair") -> np.ndarray:
+    """Cost scnt . hop . tcnt of sets whose measured / target qubits number
+    scnt[..., c] / tcnt[..., c] under controller c.  pair mode collapses the
+    populations to indicators, so each distinct controller pair pays its hop
+    once; the zero hop diagonal makes same-controller deliveries free."""
     if mode not in COST_MODES:
         raise ValueError(f"cost mode must be one of {COST_MODES}, got {mode!r}")
-
-
-def cidq_cost_S(
-    d: CidqSet,
-    mq: LogicalPhysicalMap,
-    mc: QubitControllerMap,
-    topo: ControllerTopology,
-    mode: str = "pair",
-) -> int:
-    """Communication steps one dependency set costs under a mapping.
-
-    pair mode counts every distinct (source controller, target controller)
-    pair once at its hop distance; per_target mode charges each target qubit
-    its own delivery, summing hop(source controller, target controller) over
-    all (measured, target) qubit combinations.
-    """
-    _check_mode(mode)
-    hop = topo.hop
-    src_ctls = [mc.assignment[mq.physical(q)] for q in sorted(d.measured)]
-    tgt_ctls = [mc.assignment[mq.physical(q)] for q in sorted(d.targets)]
     if mode == "pair":
-        return sum(hop[cs][ct] for cs in set(src_ctls) for ct in set(tgt_ctls) if cs != ct)
-    return sum(hop[cs][ct] for cs in src_ctls for ct in tgt_ctls)
+        scnt, tcnt = scnt > 0, tcnt > 0
+    return np.einsum("...d,...d->...", scnt @ np.asarray(hop, dtype=np.int64), tcnt)
+
+
+def controllers(mq: LogicalPhysicalMap, mc: QubitControllerMap) -> np.ndarray:
+    """ctl[q]: the controller holding logical qubit q under a complete mapping."""
+    return np.array([mc.assignment[mq.physical(q)] for q in range(mq.n)], dtype=np.int64)
+
+
+def set_costs(sets, ctl: np.ndarray, topo: ControllerTopology, mode: str = "pair") -> np.ndarray:
+    """Cost of each of `sets` when logical qubit q sits under controller
+    ctl[..., q].  Leading axes of ctl stack placements; the result has shape
+    ctl.shape[:-1] + (len(sets),)."""
+    # population row 2i counts the sources of set i, row 2i + 1 its targets
+    rows = [qubits for d in sets for qubits in (d.measured, d.targets)]
+    pin_row = np.repeat(np.arange(len(rows)), [len(qubits) for qubits in rows])
+    pin_q = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+    k, size = topo.k, len(rows) * topo.k
+    flat = ctl.reshape(-1, ctl.shape[-1])
+    keys = pin_row * k + flat[:, pin_q] + size * np.arange(len(flat))[:, None]
+    pop = np.bincount(keys.ravel(), minlength=size * len(flat))
+    pop = pop.reshape(*ctl.shape[:-1], len(sets), 2, k)
+    return population_cost(pop[..., 0, :], pop[..., 1, :], topo.hop, mode)
 
 
 def total_cost_L(
@@ -172,4 +182,4 @@ def total_cost_L(
     mode: str = "pair",
 ) -> int:
     """Objective the placement stage minimizes: sum of per-set costs."""
-    return sum(cidq_cost_S(d, mq, mc, topo, mode) for d in ld)
+    return int(set_costs(ld, controllers(mq, mc), topo, mode).sum())

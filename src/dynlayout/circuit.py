@@ -2,6 +2,8 @@
 classically conditioned operations, and the dependency DAG built from them."""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 ONE_QUBIT_GATES = frozenset({"h", "x", "z", "u1"})
@@ -79,6 +81,9 @@ class Operation:
             want = GATE_PARAM_COUNT[self.name]
             if len(self.params) != want:
                 raise CircuitError(f"{self.name} takes {want} params, got {len(self.params)}")
+            for p in self.params:
+                if not isinstance(p, numbers.Real) or not math.isfinite(p):
+                    raise CircuitError(f"{self.name} angle must be a finite real, got {p!r}")
             if self.clbit is not None:
                 raise CircuitError(f"{self.name} cannot write a clbit")
         if self.clbit is not None and not 0 <= self.clbit < n_clbits:
@@ -183,37 +188,39 @@ class OpDag:
         """Op indices with no predecessors, ascending."""
         return [i for i in range(self.n_nodes) if not self.pred[i]]
 
-    def topological_order(self) -> list[int]:
-        indeg = [len(self.pred[i]) for i in range(self.n_nodes)]
-        ready = [i for i in range(self.n_nodes) if indeg[i] == 0]
-        out: list[int] = []
-        while ready:
-            i = ready.pop()
-            out.append(i)
-            for j in self.succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(out) != self.n_nodes:
-            raise CircuitError("dependency cycle")  # unreachable for valid circuits
-        return out
-
 
 def build_dag(circuit: Circuit) -> OpDag:
     return OpDag(circuit)
 
 
 def depth(circuit: Circuit) -> int:
-    """Longest dependency-path length; barriers order ops but add no depth."""
-    dag = build_dag(circuit)
+    """Longest dependency-path length; barriers order ops but add no depth.
+
+    One pass over the ops, following OpDag's edge rules: an op sits one level
+    above the last op on each of its qubits, a conditioned op above the
+    measure that wrote each of its bits, and a measure above the previous
+    writer of its bit and every reader of that writer.
+    """
+    on_qubit: dict[int, int] = {}  # qubit -> level of the last op on it
+    writer: dict[int, int] = {}  # clbit -> level of the measure that wrote it
+    touched: dict[int, int] = {}  # clbit -> highest level of that writer or its readers
     best = 0
-    d = [0] * dag.n_nodes
-    for i in dag.topological_order():
-        w = 0 if circuit.ops[i].is_barrier else 1
-        d[i] = w + max((d[p] for p in dag.pred[i]), default=0)
-        best = max(best, d[i])
+    for i, op in enumerate(circuit.ops):
+        below = [on_qubit.get(q, 0) for q in op.qubits]
+        if op.condition is not None:
+            for bit, _ in op.condition:
+                if bit not in writer:
+                    raise CircuitError(f"op {i} conditioned on unwritten clbit {bit}")
+                below.append(writer[bit])
+        if op.is_measure:
+            below.append(touched.get(op.clbit, 0))
+        level = max(below, default=0) + (0 if op.is_barrier else 1)
+        for q in op.qubits:
+            on_qubit[q] = level
+        if op.condition is not None:
+            for bit, _ in op.condition:
+                touched[bit] = max(touched[bit], level)
+        if op.is_measure:
+            writer[op.clbit] = touched[op.clbit] = level
+        best = max(best, level)
     return best
-
-
-def count_ops(circuit: Circuit) -> int:
-    return circuit.count_ops()

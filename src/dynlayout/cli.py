@@ -25,10 +25,8 @@ from .control import (
     ConfigError,
     LogicalPhysicalMap,
     contiguous_assignment,
-    grid_device,
-    heavy_hex_127_device,
-    line_device,
     load_topology,
+    make_device,
     star_topology,
     star_via_router_topology,
 )
@@ -40,6 +38,7 @@ from .qasm import ParseError, parse_circuit, serialize_circuit
 LAYOUT_SCHEMA_VERSION = 1
 
 _BENCH_RE = re.compile(r"^(dqft|ipe|pe|cc|random)(\d+)(?:x(\d+))?$")
+_DEVICE_RE = re.compile(r"^(?:heavy_hex_127|line:(?P<m>\d+)|grid:(?P<rows>\d+)x(?P<cols>\d+))$")
 _RATIONAL_RE = re.compile(r"^(?:\d+|\d*\.\d+)(?:/\d+)?$")
 
 
@@ -61,15 +60,15 @@ def _load_circuit(token: str, seed: int = 0):
 
 
 def _parse_device(token: str):
-    if token == "heavy_hex_127":
-        return heavy_hex_127_device()
-    m = re.match(r"^line:(\d+)$", token)
-    if m:
-        return line_device(int(m.group(1)))
-    m = re.match(r"^grid:(\d+)x(\d+)$", token)
-    if m:
-        return grid_device(int(m.group(1)), int(m.group(2)))
-    raise CliError(f"unknown device {token!r} (use heavy_hex_127, line:M, or grid:RxC)")
+    """heavy_hex_127, line:M or grid:RxC, built by control.make_device."""
+    m = _DEVICE_RE.match(token)
+    if m is None:
+        raise CliError(f"unknown device {token!r} (use heavy_hex_127, line:M, or grid:RxC)")
+    if m.group("m"):
+        return make_device("line", m=m.group("m"))
+    if m.group("rows"):
+        return make_device("grid", rows=m.group("rows"), cols=m.group("cols"))
+    return make_device("heavy_hex_127")
 
 
 def _shortcut_setup(device, controllers: str, k: int):
@@ -313,37 +312,52 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for every random choice")
-    common.add_argument("--cost-mode", choices=COST_MODES, default="pair")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
+    # one parent per group of flags; each subcommand takes the groups it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for every random choice")
 
-    setup = argparse.ArgumentParser(add_help=False)
-    setup.add_argument("--topology", help="topology JSON document")
-    setup.add_argument("--k", type=int, help="controller count (shortcut for --topology)")
-    setup.add_argument("--device", default="heavy_hex_127", help="heavy_hex_127 | line:M | grid:RxC")
-    setup.add_argument(
+    cost = argparse.ArgumentParser(add_help=False)
+    cost.add_argument("--cost-mode", choices=COST_MODES, default="pair")
+
+    device = argparse.ArgumentParser(add_help=False)
+    device.add_argument(
+        "--device", default="heavy_hex_127", help="heavy_hex_127 | line:M | grid:RxC"
+    )
+    device.add_argument(
         "--controllers", default="star", choices=("star", "star_via_router"),
         help="controller interconnect used with --k",
     )
-    setup.add_argument("--sweeps", type=int, default=1, help="refinement sweeps in placement")
+
+    topology = argparse.ArgumentParser(add_help=False)
+    topology.add_argument("--topology", help="topology JSON document")
+    topology.add_argument("--k", type=int, help="controller count (shortcut for --topology)")
+
+    sweeps = argparse.ArgumentParser(add_help=False)
+    sweeps.add_argument("--sweeps", type=int, default=1, help="refinement sweeps in placement")
+
+    setup = [seed, cost, device, topology]  # one circuit on one resolved setup
 
     parser = argparse.ArgumentParser(prog="dynlayout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="emit a benchmark circuit")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        # no abbreviations: sweep's --seeds and --k-values must not also
+        # answer to the --seed and --k it does not read
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = add("gen", parents=[seed], help="emit a benchmark circuit")
     p.add_argument("family", help="dqft | ipe | pe | cc | random")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=int, help="block count for the random family")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("place", parents=[common, setup], help="feedforward-aware placement")
+    p = add("place", parents=[*setup, sweeps], help="feedforward-aware placement")
     p.add_argument("--circuit", required=True, help="circuit file or benchmark token")
     p.add_argument("--emit-layout", help="layout JSON output (default stdout)")
     p.set_defaults(func=cmd_place)
 
-    p = sub.add_parser("route", parents=[common, setup], help="SWAP-insert onto the device")
+    p = add("route", parents=[*setup, sweeps], help="SWAP-insert onto the device")
     p.add_argument("--circuit", required=True)
     p.add_argument("--layout", default="auto", help="layout JSON or 'auto'")
     p.add_argument("--mode", choices=MODES, default="class")
@@ -351,21 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="metrics JSON output (default stdout)")
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("transpile", parents=[common, setup], help="place then route")
+    p = add("transpile", parents=[*setup, sweeps], help="place then route")
     p.add_argument("--circuit", required=True)
     p.add_argument("--mode", choices=MODES, default="class")
     p.add_argument("--tie-epsilon", default="0")
     p.add_argument("--report", help="metrics JSON output (default stdout)")
     p.set_defaults(func=cmd_transpile)
 
-    p = sub.add_parser("sweep", parents=[common, setup], help="benchmark x k x seed grid")
+    p = add("sweep", parents=[cost, device, sweeps], help="benchmark x k x seed grid")
     p.add_argument("--benchmarks", required=True, help="comma-separated tokens or files")
     p.add_argument("--k-values", required=True, help='"4,6,8" or "4..8"')
     p.add_argument("--seeds", default="0", help='"0,1,2" or "0..9"')
     p.add_argument("--out", help="CSV output (default stdout)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("oracle", parents=[common, setup], help="exhaustive optimum placement")
+    p = add("oracle", parents=setup, help="exhaustive optimum placement")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", help="layout JSON output (default stdout)")
     p.set_defaults(func=cmd_oracle)

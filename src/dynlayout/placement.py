@@ -9,10 +9,10 @@ outside qubit, repeatedly apply the currently best-gain movement (locking
 touched qubits, negative gains allowed), then keep the prefix of applied
 movements with the best cumulative gain if that gain is positive.
 
-Movement gains come from per-set controller population counts.  A set's
-cost depends only on its counts, and a moving qubit shifts them by a vector
+Movement gains come from per-set controller populations, the input of the
+cost kernel `cidq.population_cost`.  A moving qubit shifts them by a vector
 fixed by its role in the set (source, target or both) and the two controllers
-involved, so each apply-loop iteration evaluates the cost form once per
+involved, so each apply-loop iteration calls the kernel once per
 (set, role, source, destination) and once per (set, role pair, destination)
 over all sets together, then gathers those table entries per qubit.  The cost
 of one iteration grows with the number of set memberships, not with the
@@ -30,7 +30,9 @@ from .cidq import (
     CidqList,
     FeedforwardHypergraph,
     build_hypergraph,
-    cidq_cost_S,
+    controllers,
+    population_cost,
+    set_costs,
     total_cost_L,
 )
 from .control import (
@@ -131,11 +133,9 @@ def movement_gain(
     """
     moved = set(move.moved_qubits())
     affected = [d for d in ld if moved & d.qubits]
-    after = apply_movement(mq, move, mc)
-    return sum(
-        cidq_cost_S(d, mq, mc, topo, mode) - cidq_cost_S(d, after, mc, topo, mode)
-        for d in affected
-    )
+    ctl = np.stack([controllers(mq, mc), controllers(apply_movement(mq, move, mc), mc)])
+    before, now = set_costs(affected, ctl, topo, mode).sum(-1)
+    return int(before - now)
 
 
 _NEG = np.iinfo(np.int64).min // 4
@@ -145,8 +145,7 @@ class _GainEngine:
     """Vectorized movement-gain evaluation for one CidqList.
 
     Counts, per dependency set, the sources and targets under every
-    controller; a set's cost is a bilinear form of those two count rows
-    through the hop matrix (with counts collapsed to indicators in pair mode).
+    controller: the populations `cidq.population_cost` turns into a cost.
 
     A pin is one (set, qubit) membership, typed 2*is_source + is_target.
     Moving a pin's qubit from controller a to b shifts its set's count rows by
@@ -181,16 +180,11 @@ class _GainEngine:
         # shift[a, b]: count-row change when one unit moves from controller a to b
         self.shift = eye[None, :, :] - eye[:, None, :]
 
-    def _eval(self, scnt: np.ndarray, tcnt: np.ndarray) -> np.ndarray:
-        if self.mode == "pair":
-            scnt, tcnt = scnt > 0, tcnt > 0
-        return np.einsum("...d,...d->...", scnt @ self.hop, tcnt)
-
     def _deltas(self, scnt, tcnt, s_cur, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Cost change of every set when its count rows move by ds / dt, which
         are (..., k) arrays shared by all sets; shape (sets, ...)."""
         lead = (slice(None),) + (None,) * (ds.ndim - 1)
-        return self._eval(scnt[lead] + ds, tcnt[lead] + dt) - s_cur[lead]
+        return population_cost(scnt[lead] + ds, tcnt[lead] + dt, self.hop, self.mode) - s_cur[lead]
 
     def tables(self, ctl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source counts, target counts, current per-set cost) under ctl."""
@@ -198,7 +192,7 @@ class _GainEngine:
         key = self.pin_set * self.k + ctl[self.pin_q]
         scnt = np.bincount(key[self.pin_src], minlength=size).reshape(self.n_sets, self.k)
         tcnt = np.bincount(key[self.pin_tgt], minlength=size).reshape(self.n_sets, self.k)
-        return scnt, tcnt, self._eval(scnt, tcnt)
+        return scnt, tcnt, population_cost(scnt, tcnt, self.hop, self.mode)
 
     def single_move_deltas(
         self, ctl: np.ndarray, scnt: np.ndarray, tcnt: np.ndarray, s_cur: np.ndarray
@@ -297,7 +291,7 @@ def run_pass(
     allowed[list(others)] = True
 
     work = mq.copy()
-    ctl = np.array([mc.assignment[work.physical(q)] for q in range(n)], dtype=np.int64)
+    ctl = controllers(work, mc)
     free_heaps: dict[int, list[int]] = {
         c: sorted(_free_slots(work, mc, c)) for c in range(k)
     }

@@ -16,8 +16,9 @@ The accepted grammar is a small OPENQASM 2.0 subset:
 
 Gates: h, x, z, u1(theta), cx, cz, swap.  Conditions are conjunctions of
 single-bit tests and may guard gates and resets only.  Angle expressions
-support numbers, pi, + - * /, unary minus, ^ for integer powers, and
-parentheses.  // comments run to end of line.
+support numbers, pi, + - * /, unary minus, ^ for powers, and parentheses;
+an angle must evaluate to a finite real number.  // comments run to end of
+line.
 """
 from __future__ import annotations
 
@@ -224,7 +225,12 @@ class _Parser:
         params: tuple[float, ...] = ()
         if GATE_PARAM_COUNT[name] == 1:
             self.expect("(")
-            params = (self.expression(),)
+            start = self.pos
+            try:
+                params = (self.expression(),)
+            except ArithmeticError as exc:  # 2^10000 overflows, 0^-1 divides by zero
+                self.pos = start
+                raise self.error(f"angle cannot be evaluated: {exc}") from None
             self.expect(")")
         q0 = self.qubit_arg()
         if name in TWO_QUBIT_GATES:

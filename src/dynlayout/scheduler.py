@@ -21,8 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .circuit import Circuit, OpDag, Operation
-from .cidq import CidqList, CidqSet, cidq_cost_S, extract_cidq_sets
+from .cidq import CidqList, CidqSet, extract_cidq_sets, population_cost, set_costs
 from .control import (
     ConfigError,
     ControllerTopology,
@@ -181,6 +183,13 @@ def active_cidq_sets(
     return [active[sid] for sid in sorted(active)]
 
 
+def _swap_controllers(swaps, mq: LogicalPhysicalMap, mc: QubitControllerMap) -> np.ndarray:
+    """ctl[i, q]: the controller holding logical qubit q once swaps[i] is applied."""
+    fwd = np.asarray(mq.forward)
+    a, b = np.array(swaps).T[:, :, None]
+    return np.asarray(mc.assignment)[np.where(fwd == a, b, np.where(fwd == b, a, fwd))]
+
+
 def iccs_score(
     swap: tuple[int, int],
     mq: LogicalPhysicalMap,
@@ -190,9 +199,7 @@ def iccs_score(
     mode: str = "pair",
 ) -> int:
     """Total communication cost of the active sets with the SWAP applied."""
-    trial = mq.copy()
-    trial.swap_physical(*swap)
-    return sum(cidq_cost_S(d, trial, mc, topo, mode) for d in active)
+    return int(set_costs(active, _swap_controllers([swap], mq, mc), topo, mode).sum())
 
 
 def _executable(op: Operation, mq: LogicalPhysicalMap, device: DeviceGraph) -> bool:
@@ -308,10 +315,11 @@ def schedule(
         similar = [c for c, s in zip(candidates, scores) if s <= limit]
         if len(similar) == 1:
             chosen = similar[0]
-        elif tie_break == "iccs":
-            active = active_cidq_sets(front_nodes, dag, owners)
-            comm = [iccs_score(c, mq, active, mc, topo, cost_mode) for c in similar]
-            low = min(comm)
+        elif tie_break == "iccs" and (active := active_cidq_sets(front_nodes, dag, owners)):
+            # all tied SWAPs scored as iccs_score would, in one batch (with no
+            # active set every score is 0 and the seeded pick below decides)
+            comm = set_costs(active, _swap_controllers(similar, mq, mc), topo, cost_mode).sum(-1)
+            low = comm.min()
             chosen = rng.choice([c for c, s in zip(similar, comm) if s == low])
         else:
             chosen = rng.choice(similar)
@@ -347,39 +355,26 @@ def accumulate_iccs(
     reads of the same outcome add a delivery).  Without SWAPs this equals the
     static objective under the initial mapping.
     """
-    src_of_op: dict[int, list[int]] = {}
-    tgt_of_op: dict[int, list[int]] = {}
+    # op index -> (population row, qubits) of the sets it reads for; row 2i
+    # holds the sources of set i and row 2i + 1 its deliveries
+    reads: dict[int, list[tuple[int, frozenset[int]]]] = {}
     for d in ld:
-        for idx in d.source_ops:
-            src_of_op.setdefault(idx, []).append(d.id)
-        for idx in d.target_ops:
-            tgt_of_op.setdefault(idx, []).append(d.id)
+        for row, op_ids, qubits in ((0, d.source_ops, d.measured), (1, d.target_ops, d.targets)):
+            for idx in op_ids:
+                reads.setdefault(idx, []).append((2 * d.id + row, qubits))
 
     mq = routed.initial_mapping.copy()
-    sources: dict[int, set[tuple[int, int]]] = {d.id: set() for d in ld}
-    deliveries: dict[int, set[tuple[int, int]]] = {d.id: set() for d in ld}
+    seen: set[tuple[int, int, int]] = set()  # (population row, qubit, controller)
     for entry in routed.log:
         if entry[0] == "swap":
             mq.swap_physical(entry[1], entry[2])
             continue
-        idx = entry[1]
-        for sid in src_of_op.get(idx, ()):
-            for q in ld[sid].measured:
-                sources[sid].add((q, mc.assignment[mq.physical(q)]))
-        for sid in tgt_of_op.get(idx, ()):
-            for q in routed.source.ops[idx].qubits:
-                if q in ld[sid].targets:
-                    deliveries[sid].add((q, mc.assignment[mq.physical(q)]))
+        for row, qubits in reads.get(entry[1], ()):
+            for q in routed.source.ops[entry[1]].qubits:
+                if q in qubits:
+                    seen.add((row, q, mc.assignment[mq.physical(q)]))
 
-    hop = topo.hop
-    total = 0
-    for d in ld:
-        if mode == "pair":
-            src_ctls = {c for _, c in sources[d.id]}
-            tgt_ctls = {c for _, c in deliveries[d.id]}
-            total += sum(hop[cs][ct] for cs in src_ctls for ct in tgt_ctls if cs != ct)
-        else:
-            total += sum(
-                hop[cs][ct] for _, cs in sources[d.id] for _, ct in deliveries[d.id]
-            )
-    return total
+    k = topo.k
+    keys = np.array([row * k + c for row, _, c in seen], dtype=np.int64)
+    pop = np.bincount(keys, minlength=2 * len(ld) * k).reshape(len(ld), 2, k)
+    return int(population_cost(pop[:, 0], pop[:, 1], topo.hop, mode).sum())

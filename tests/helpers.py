@@ -64,3 +64,18 @@ def random_metric_hops(rng: random.Random, k: int) -> list[list[int]]:
                 if a != b:
                     hop[a][b] = min(hop[a][b], hop[a][via] + hop[via][b])
     return hop
+
+
+def reference_set_cost(d: CidqSet, ctl_of: list[int], hop, mode: str) -> int:
+    """The paper's cost of one dependency set, written out pair by pair.
+
+    ctl_of[q] is the controller holding logical qubit q.  pair mode pays the
+    hop of every distinct (source controller, target controller) pair once;
+    per_target mode pays it for every (measured qubit, target qubit)
+    combination.  A pair on one controller pays nothing.
+    """
+    src = [ctl_of[q] for q in d.measured]
+    tgt = [ctl_of[q] for q in d.targets]
+    if mode == "pair":
+        return sum(hop[cs][ct] for cs in set(src) for ct in set(tgt) if cs != ct)
+    return sum(hop[cs][ct] for cs in src for ct in tgt if cs != ct)

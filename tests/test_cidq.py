@@ -8,7 +8,6 @@ from dynlayout import (
     CidqList,
     CidqSet,
     build_hypergraph,
-    cidq_cost_S,
     contiguous_assignment,
     extract_cidq_sets,
     generate,
@@ -16,6 +15,7 @@ from dynlayout import (
     star_topology,
     total_cost_L,
 )
+from dynlayout.cidq import controllers, set_costs
 from helpers import explicit_mapping, random_cidq_list, uniform_setup
 
 
@@ -97,7 +97,7 @@ class TestFig4Costs:
 
     def test_per_set_breakdown_best_partition(self):
         mq = explicit_mapping([0, 1, 2, 3], 4)
-        costs = [cidq_cost_S(d, mq, self.mc, self.topo, "pair") for d in self.ld]
+        costs = set_costs(self.ld, controllers(mq, self.mc), self.topo, "pair").tolist()
         assert costs == [1, 1, 0]
 
 
@@ -115,8 +115,8 @@ class TestCostModes:
         ld = CidqList((CidqSet(0, frozenset({0}), frozenset({1, 2})),), 3)
         topo, mc = uniform_setup(3, 2, 2)
         mq = explicit_mapping([0, 2, 3], 4)
-        assert cidq_cost_S(ld[0], mq, mc, topo, "pair") == 1
-        assert cidq_cost_S(ld[0], mq, mc, topo, "per_target") == 2
+        assert set_costs(ld, controllers(mq, mc), topo, "pair").tolist() == [1]
+        assert set_costs(ld, controllers(mq, mc), topo, "per_target").tolist() == [2]
 
     def test_hop_weights_scale_cost(self):
         ld = CidqList((CidqSet(0, frozenset({0}), frozenset({1})),), 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout import Circuit, CircuitError, Operation, build_dag, count_ops, depth
+from dynlayout import Circuit, CircuitError, Operation, build_dag, depth
 
 
 def op(name, *qubits, params=(), clbit=None, condition=None):
@@ -26,6 +26,11 @@ class TestOperationValidate:
         with pytest.raises(CircuitError):
             op("h", 0, params=(0.5,)).validate(1, 0)
         op("u1", 0, params=(0.5,)).validate(1, 0)
+
+    @pytest.mark.parametrize("angle", [complex(0, 1), math.inf, -math.inf, math.nan])
+    def test_angle_must_be_finite_real(self, angle):
+        with pytest.raises(CircuitError, match="finite real"):
+            op("u1", 0, params=(angle,)).validate(1, 0)
 
     def test_duplicate_operands(self):
         with pytest.raises(CircuitError):
@@ -109,23 +114,6 @@ class TestDag:
         assert build_dag(c).front_layer() == [0, 1, 2, 3]
         assert depth(c) == 1
 
-    def test_topological_order_is_valid(self):
-        c = circuit(
-            3,
-            2,
-            op("h", 0),
-            op("cx", 0, 1),
-            op("measure", 1, clbit=0),
-            op("x", 2, condition=frozenset({(0, 1)})),
-            op("measure", 2, clbit=1),
-        )
-        order = build_dag(c).topological_order()
-        pos = {node: i for i, node in enumerate(order)}
-        dag = build_dag(c)
-        for node in range(len(c.ops)):
-            for succ in dag.succ[node]:
-                assert pos[node] < pos[succ]
-
 
 class TestMetrics:
     def test_depth_longest_path(self):
@@ -134,7 +122,6 @@ class TestMetrics:
 
     def test_barriers_not_counted(self):
         c = circuit(2, 0, op("h", 0), op("barrier", 0, 1), op("h", 1))
-        assert count_ops(c) == 2
         assert c.count_ops() == 2
 
     def test_barrier_orders_but_adds_no_depth(self):
@@ -163,7 +150,49 @@ def random_static_circuits(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_static_circuits())
 def test_depth_bounded_by_op_count(c):
-    assert 0 <= depth(c) <= count_ops(c)
+    assert 0 <= depth(c) <= c.count_ops()
+
+
+@st.composite
+def random_dynamic_circuits(draw):
+    """Gates, barriers, re-measured clbits and one- or two-bit conditions."""
+    n = draw(st.integers(2, 5))
+    n_clbits = draw(st.integers(1, 3))
+    written: list[int] = []
+    ops = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["h", "cx", "measure", "if", "barrier"]))
+        if kind == "cx":
+            a, b = draw(st.permutations(range(n)))[:2]
+            ops.append(op("cx", a, b))
+        elif kind == "measure":
+            bit = draw(st.integers(0, n_clbits - 1))
+            ops.append(op("measure", draw(st.integers(0, n - 1)), clbit=bit))
+            written.append(bit)
+        elif kind == "if" and written:
+            bits = draw(st.sets(st.sampled_from(sorted(set(written))), min_size=1, max_size=2))
+            condition = frozenset((b, draw(st.integers(0, 1))) for b in bits)
+            ops.append(op(draw(st.sampled_from(["x", "reset"])), draw(st.integers(0, n - 1)),
+                          condition=condition))
+        elif kind == "barrier":
+            qubits = draw(st.sets(st.integers(0, n - 1), min_size=1))
+            ops.append(op("barrier", *sorted(qubits)))
+        else:
+            ops.append(op("h", draw(st.integers(0, n - 1))))
+    return circuit(n, n_clbits, *ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_dynamic_circuits())
+def test_depth_is_longest_dag_path(c):
+    # every DAG edge runs from a lower op index to a higher one, so one pass
+    # in index order sees each op's predecessors first
+    dag = build_dag(c)
+    level = []
+    for i, o in enumerate(c.ops):
+        below = max((level[p] for p in dag.pred[i]), default=0)
+        level.append(below + (0 if o.is_barrier else 1))
+    assert depth(c) == max(level, default=0)
 
 
 @settings(max_examples=60, deadline=None)

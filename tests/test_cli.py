@@ -242,3 +242,42 @@ class TestSweep:
             return [{k: v for k, v in r.items() if k not in drop} for r in rows]
 
         assert stable(serial) == stable(parallel)
+
+
+class TestFlagScope:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6",
+         "--topology", "/nonexistent.json"],
+        ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6", "--k", "2"],
+        ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6", "--seed", "1"],
+        ["place", "--circuit", "cc6", "--k", "2", "--device", "line:6", "--jobs", "2"],
+        ["transpile", "--circuit", "cc6", "--k", "2", "--device", "line:6", "--jobs", "2"],
+        ["gen", "cc", "--n", "6", "--cost-mode", "pair"],
+        ["oracle", "--circuit", "dqft4", "--k", "2", "--device", "line:4", "--sweeps", "2"],
+    ])
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token, m", [("line:5", 5), ("grid:2x3", 6), ("heavy_hex_127", 127)])
+    def test_device_tokens(self, token, m, capsys):
+        assert main(["place", "--circuit", "dqft4", "--k", "1", "--device", token]) == 0
+        assert json.loads(capsys.readouterr().out)["m_physical"] == m
+
+    @pytest.mark.parametrize("token", ["line:", "grid:3", "line:5x2", "heavy_hex_127:1"])
+    def test_bad_device_token(self, token, capsys):
+        assert main(["place", "--circuit", "dqft4", "--k", "1", "--device", token]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown device") and err.count("\n") == 1
+
+
+class TestBadAngle:
+    @pytest.mark.parametrize("angle", ["(-8)^0.5", "1e400", "2^10000", "0^-1"])
+    def test_exits_2_with_one_line(self, angle, tmp_path, capsys):
+        path = tmp_path / "angle.qasm"
+        path.write_text(f"qreg q[1];\nu1({angle}) q[0];\n")
+        assert main(["place", "--circuit", str(path), "--k", "1", "--device", "line:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,11 +1,12 @@
-"""Property tests pinning the cost kernels to each other.
+"""Property tests pinning the cost kernels to each other and to the paper.
 
 The placement engine scores movements from per-set type tables; these tests
 check every score it hands to the apply loop against the brute-force
-`movement_gain`, and check that the four ways the code computes a mapping's
-ICCS agree: per-set `cidq_cost_S`, `total_cost_L`, the engine's count tables
+`movement_gain`, and check every way the code evaluates a mapping's ICCS
+against the paper's definition written out in `helpers.reference_set_cost`:
+the per-set vector `set_costs`, `total_cost_L`, the engine's count tables
 and the routing-time replay `accumulate_iccs` of a circuit routed without
-SWAPs.
+SWAPs.  All of them go through the one kernel `cidq.population_cost`.
 """
 import random
 
@@ -22,18 +23,25 @@ from dynlayout import (
     accumulate_iccs,
     apply_movement,
     build_dag,
-    cidq_cost_S,
     contiguous_assignment,
     controller_of,
     extract_cidq_sets,
     line_device,
     matrix_topology,
     movement_gain,
+    run_pipeline,
     schedule,
     total_cost_L,
 )
+from dynlayout.cidq import controllers, set_costs
+from dynlayout.pipeline import MODES
 from dynlayout.placement import _NEG, _GainEngine, run_pass
-from helpers import complete_random_mapping, random_cidq_list, random_metric_hops
+from helpers import (
+    complete_random_mapping,
+    random_cidq_list,
+    random_metric_hops,
+    reference_set_cost,
+)
 
 
 def metric_setup(rng: random.Random, n: int, k: int):
@@ -127,14 +135,25 @@ def test_cost_forms_agree(mode, seed):
     topo, mc = metric_setup(rng, n, k)
     mq = complete_random_mapping(rng, n, mc)
 
-    summed = sum(cidq_cost_S(d, mq, mc, topo, mode) for d in ld)
+    ctl_of = [controller_of(mq, mc, q) for q in range(n)]
+    per_set = [reference_set_cost(d, ctl_of, topo.hop, mode) for d in ld]
+    assert set_costs(ld, controllers(mq, mc), topo, mode).tolist() == per_set
+    summed = sum(per_set)
     assert total_cost_L(ld, mq, mc, topo, mode) == summed
 
-    ctl = np.array([controller_of(mq, mc, q) for q in range(n)], dtype=np.int64)
-    assert int(_GainEngine(ld, k, topo.hop, mode).tables(ctl)[2].sum()) == summed
+    ctl = np.array(ctl_of, dtype=np.int64)
+    assert _GainEngine(ld, k, topo.hop, mode).tables(ctl)[2].tolist() == per_set
 
     device = line_device(mc.m)
     routed = schedule(circuit, build_dag(circuit), mq, mc, topo, device, ld, cost_mode=mode)
     assert routed.swaps_inserted == 0
     assert accumulate_iccs(routed, ld, mc, topo, mode) == summed
 
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pipeline_rejects_unknown_cost_mode(mode):
+    circuit = random_dynamic_circuit(random.Random(3), 4)
+    mc = contiguous_assignment(4, 2)
+    topo = matrix_topology([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="cost mode"):
+        run_pipeline(circuit, mc, topo, line_device(4), mode=mode, cost_mode="bogus")

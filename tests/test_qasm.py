@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout import Circuit, Operation, ParseError, generate, parse_circuit, serialize_circuit
+from dynlayout import (
+    Circuit,
+    CircuitError,
+    Operation,
+    ParseError,
+    generate,
+    parse_circuit,
+    serialize_circuit,
+)
 
 GOLDEN = """\
 OPENQASM 2.0;
@@ -67,6 +75,16 @@ class TestErrors:
     def test_condition_value_not_bit(self):
         with pytest.raises(ParseError):
             parse_circuit("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nif (c[0]==2) x q[0];")
+
+    @pytest.mark.parametrize("angle", ["2^10000", "0^-1"])
+    def test_arithmetic_error_is_parse_error(self, angle):
+        with pytest.raises(ParseError, match="angle cannot be evaluated"):
+            parse_circuit(f"qreg q[1];\nu1({angle}) q[0];")
+
+    @pytest.mark.parametrize("angle", ["(-8)^0.5", "1e400", "1e308*10-1e308*10"])
+    def test_non_finite_or_complex_angle_rejected(self, angle):
+        with pytest.raises(CircuitError, match="finite real"):
+            parse_circuit(f"qreg q[1];\nu1({angle}) q[0];")
 
     def test_error_carries_position(self):
         try:

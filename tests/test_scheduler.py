@@ -306,17 +306,22 @@ PROPERTY_DEVICES = {
     st.integers(1, 10),
     st.sampled_from([Fraction(0), Fraction(1, 2)]),
     st.sampled_from(["iccs", "random"]),
+    st.sampled_from(["pair", "per_target"]),
 )
-def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, tie_break):
+def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, tie_break, mode):
     """Replaying the log, every non-forced decision's depth_argmin is exactly
     the set of candidates whose depth_cost with the SWAP applied lies within
-    tie_epsilon of the minimum."""
+    tie_epsilon of the minimum, and the ICCS tie-break picks a candidate
+    whose iccs_score is the lowest of that set."""
     dev = PROPERTY_DEVICES[device_name]
     n = 2 + seed % (dev.m - 1)
     c = generate("random", n, n_blocks=blocks, seed=seed)
     dag = build_dag(c)
     mq = random_layout(n, dev.m, seed=seed)
-    routed = schedule(c, dag, mq, contiguous_assignment(dev.m, 2), star_topology(2), dev,
+    mc, topo = contiguous_assignment(dev.m, 3), star_topology(3)
+    ld = extract_cidq_sets(c)
+    owners = target_owners(ld)
+    routed = schedule(c, dag, mq, mc, topo, dev, ld=ld, cost_mode=mode,
                       seed=seed, tie_break=tie_break, tie_epsilon=eps)
     indeg = [len(dag.pred[i]) for i in range(dag.n_nodes)]
     front = set(dag.front_layer())
@@ -341,6 +346,15 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, t
                 mq.swap_physical(*cand)
             best = min(costs.values())
             assert decision.depth_argmin == tuple(x for x in costs if costs[x] - best <= eps)
+            if tie_break == "iccs" and len(decision.depth_argmin) > 1:
+                active = active_cidq_sets(nodes, dag, owners)
+                comm = {}
+                for cand in decision.depth_argmin:
+                    mq.swap_physical(*cand)
+                    comm[cand] = total_cost_L(active, mq, mc, topo, mode)
+                    mq.swap_physical(*cand)
+                    assert iccs_score(cand, mq, active, mc, topo, mode) == comm[cand]
+                assert comm[decision.chosen] == min(comm.values())
             checked += 1
         mq.swap_physical(*entry[1:])
     assert checked == sum(not d.forced for d in routed.decisions)
@@ -417,6 +431,44 @@ class TestAccumulate:
         # after the swap q0 sits with q1 on controller 1, but the outcome was
         # produced on controller 0 and still has to travel
         assert accumulate_iccs(routed, ld, mc, topo, "pair") == 1
+
+    def test_second_read_on_another_controller_adds_delivery(self):
+        # q1 reads the outcome of q0 twice, once under each foreign controller
+        source = Circuit(
+            2,
+            1,
+            (
+                Operation("measure", (0,), (), 0, None),
+                Operation("x", (1,), (), None, frozenset({(0, 1)})),
+                Operation("x", (1,), (), None, frozenset({(0, 1)})),
+            ),
+        )
+        source.validate()
+        ld = extract_cidq_sets(source)
+        mc = contiguous_assignment(6, 3)  # controllers {0,1}, {2,3}, {4,5}
+        topo = star_topology(3)
+        init = explicit_mapping([0, 2], 6)
+        routed = RoutedCircuit(
+            circuit=Circuit(
+                6,
+                1,
+                (
+                    Operation("measure", (0,), (), 0, None),
+                    Operation("x", (2,), (), None, frozenset({(0, 1)})),
+                    Operation("swap", (2, 4)),
+                    Operation("x", (4,), (), None, frozenset({(0, 1)})),
+                ),
+            ),
+            source=source,
+            initial_mapping=init,
+            final_mapping=explicit_mapping([0, 4], 6),
+            log=(("op", 0), ("op", 1), ("swap", 2, 4), ("op", 2)),
+            swaps_inserted=1,
+            decisions=(),
+        )
+        assert total_cost_L(ld, init, mc, topo, "per_target") == 1
+        assert accumulate_iccs(routed, ld, mc, topo, "pair") == 2
+        assert accumulate_iccs(routed, ld, mc, topo, "per_target") == 2
 
     def test_k1_always_zero(self):
         dev = line_device(6)
