@@ -121,13 +121,19 @@ def _layout_doc(mq: LogicalPhysicalMap, cost: int) -> str:
 
 
 def _read_layout(path: str, n_qubits: int, m_physical: int) -> LogicalPhysicalMap:
+    """The document `place` writes: an object whose "layout" lists, for each
+    logical qubit, a physical qubit in 0..m-1 (an integer, not a bool or float)."""
     doc = json.loads(Path(path).read_text())
-    fwd = doc["layout"]
+    fwd = doc.get("layout") if isinstance(doc, dict) else None
+    if not isinstance(fwd, list) or any(type(p) is not int for p in fwd):
+        raise CliError(f"{path}: expected an object whose \"layout\" is a list of integers")
     if len(fwd) != n_qubits:
         raise CliError(f"layout covers {len(fwd)} logical qubits, circuit has {n_qubits}")
     mq = LogicalPhysicalMap(n_qubits, m_physical)
     for q, p in enumerate(fwd):
-        mq.assign(q, int(p))
+        if not 0 <= p < m_physical:
+            raise CliError(f"layout places logical qubit {q} on {p}, outside 0..{m_physical - 1}")
+        mq.assign(q, p)
     return mq
 
 
@@ -392,6 +398,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Baseline mode, a given --layout and sweep cells never reach the
+        # placement that rejects it, so the flag is checked here.
+        if getattr(args, "sweeps", 1) < 1:
+            raise CliError(f"--sweeps must be at least 1, got {args.sweeps}")
         return args.func(args)
     except (CliError, ConfigError, CircuitError, ParseError, InstanceTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

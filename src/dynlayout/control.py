@@ -354,11 +354,16 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
         doc = source
     else:
         doc = json.loads(Path(source).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigError(f"topology document must be a JSON object, got {type(doc).__name__}")
     try:
         cspec = doc["controllers"]
         dspec = doc["device"]
     except KeyError as missing:
         raise ConfigError(f"topology document missing key {missing}") from None
+    for key, spec in (("controllers", cspec), ("device", dspec)):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"topology section {key!r} must be a JSON object")
     ckind = cspec.get("kind")
     if ckind == "star":
         topo = star_topology(int(cspec["k"]))

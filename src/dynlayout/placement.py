@@ -413,10 +413,12 @@ def stage2_iterate(
     """Refinement: per sweep, run one movement pass per controller C_i against
     all the others, every pass starting from the same input mapping, and keep
     the cheapest result (ties: first encountered).  Extra sweeps restart from
-    the winner and stop early once no pass improves."""
+    the winner and stop early once no pass improves.  sweeps must be >= 1."""
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
     current = mq.copy()
     current_cost = total_cost_L(ld, current, mc, topo, mode)
-    for _ in range(max(1, sweeps)):
+    for _ in range(sweeps):
         best, best_cost = None, current_cost
         for ci in range(mc.k):
             candidate, _ = run_pass(

@@ -18,20 +18,22 @@ Gates: h, x, z, u1(theta), cx, cz, swap.  Conditions are conjunctions of
 single-bit tests and may guard gates and resets only.  Angle expressions
 support numbers, pi, + - * /, unary minus, ^ for powers, and parentheses;
 an angle must evaluate to a finite real number.  // comments run to end of
-line.
+line, except inside a "string".
+
+Parsing is statement-level: comments are dropped, the text is split at
+each `;`, and every statement must match one of the forms above (one
+compiled pattern, one alternative per form).  Register declarations come
+before the first operation.  A ParseError's line and column point at the
+first character of the offending statement.  serialize_circuit writes the
+OPENQASM and include header lines, so its output loads in standard
+OpenQASM 2 tools.
 """
 from __future__ import annotations
 
 import math
 import re
 
-from .circuit import (
-    GATE_PARAM_COUNT,
-    ONE_QUBIT_GATES,
-    TWO_QUBIT_GATES,
-    Circuit,
-    Operation,
-)
+from .circuit import GATE_PARAM_COUNT, TWO_QUBIT_GATES, Circuit, Operation
 
 
 class ParseError(ValueError):
@@ -41,293 +43,186 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<str>"[^"]*")
-  | (?P<sym>->|==|&&|[\[\](),;*/+\-^])
-    """,
-    re.VERBOSE,
+_ID = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_NUM = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+_ARG = rf"{_ID}\s*\[\s*\d+\s*\]"
+_TEST = rf"{_ARG}\s*==\s*\d+"
+
+# A "string" keeps its place (its `;`s masked), a // comment is dropped.
+_LEXEME = re.compile(r'"[^"]*"|//[^\n]*')
+_STATEMENT = re.compile(
+    rf"""\s*(?:
+        OPENQASM(?![A-Za-z0-9_])\s*(?P<version>{_NUM}|{_ID}|"[^"]*"|->|==|&&|[\[\](),*/+\-^]|)
+      | include\s*"[^"]*"
+      | (?P<reg>[qc])reg\s+(?P<name>{_ID})\s*\[\s*(?P<size>\d+)\s*\]
+      | measure\s+(?P<measure>{_ARG}\s*->\s*{_ARG})
+      | (?:if\s*\(\s*(?P<cond>{_TEST}(?:\s*&&\s*{_TEST})*)\s*\)\s*)?
+        (?P<op>{_ID})\s*(?:\((?P<angle>.*)\)\s*)?(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)
+    )\s*""",
+    re.VERBOSE | re.DOTALL,
 )
+# (register, index, tested value or "") of each argument or condition test
+_PARTS = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\](?:\s*==\s*(\d+))?")
+_LITERAL = re.compile(rf"\s*-?{_NUM}\s*")
+_ANGLE_TOKEN = re.compile(rf"\s*({_NUM}|[A-Za-z_][A-Za-z0-9_]*|\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    return tokens
+def _mask(m: re.Match) -> str:
+    s = m.group()
+    return s.replace(";", " ") if s[0] == '"' else ""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-        self.cregs: dict[str, tuple[int, int]] = {}
-        self.n_qubits = 0
-        self.n_clbits = 0
-        self.ops: list[Operation] = []
+def _angle(text: str) -> float:
+    """Evaluate one angle: + - below * / below unary - below a
+    right-associative ^ below numbers, pi and parentheses."""
+    if _LITERAL.fullmatch(text):
+        return float(text)
+    toks = _ANGLE_TOKEN.findall(text)[::-1]  # a stack: toks[-1] is next
 
-    def error(self, message: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            _, _, line, col = self.tokens[self.pos]
-        elif self.tokens:
-            _, v, line, col = self.tokens[-1]
-            col += len(v)
-        else:
-            line, col = 1, 1
-        return ParseError(message, line, col)
-
-    def peek(self) -> tuple[str, str] | None:
-        if self.pos < len(self.tokens):
-            kind, value, _, _ = self.tokens[self.pos]
-            return kind, value
-        return None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, got = self.take()
-        if got != value:
-            self.pos -= 1
-            raise self.error(f"expected {value!r}, got {got!r}")
-
-    def expect_kind(self, kind: str) -> str:
-        got_kind, value = self.take()
-        if got_kind != kind:
-            self.pos -= 1
-            raise self.error(f"expected {kind}, got {value!r}")
-        return value
-
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == value
-
-    def int_token(self) -> int:
-        value = self.expect_kind("num")
-        try:
-            return int(value)
-        except ValueError:
-            self.pos -= 1
-            raise self.error(f"expected integer, got {value!r}") from None
-
-    def parse(self) -> Circuit:
-        while self.peek() is not None:
-            self.statement()
-        circuit = Circuit(self.n_qubits, self.n_clbits, tuple(self.ops))
-        circuit.validate()
-        return circuit
-
-    def statement(self) -> None:
-        kind, value = self.take()
-        if value == "OPENQASM":
-            self.take()  # version token
-            self.expect(";")
-        elif value == "include":
-            self.expect_kind("str")
-            self.expect(";")
-        elif value == "qreg":
-            self.declare(self.qregs, "q")
-        elif value == "creg":
-            self.declare(self.cregs, "c")
-        elif value == "measure":
-            self.ops.append(self.measure_stmt())
-            self.expect(";")
-        elif value == "reset":
-            q = self.qubit_arg()
-            self.ops.append(Operation("reset", (q,)))
-            self.expect(";")
-        elif value == "barrier":
-            qubits = [self.qubit_arg()]
-            while self.at(","):
-                self.take()
-                qubits.append(self.qubit_arg())
-            self.ops.append(Operation("barrier", tuple(qubits)))
-            self.expect(";")
-        elif value == "if":
-            self.ops.append(self.if_stmt())
-            self.expect(";")
-        elif kind == "id":
-            self.ops.append(self.gate_stmt(value))
-            self.expect(";")
-        else:
-            self.pos -= 1
-            raise self.error(f"unexpected token {value!r}")
-
-    def declare(self, table: dict[str, tuple[int, int]], which: str) -> None:
-        name = self.expect_kind("id")
-        if name in self.qregs or name in self.cregs:
-            raise self.error(f"register {name!r} already declared")
-        self.expect("[")
-        size = self.int_token()
-        self.expect("]")
-        self.expect(";")
-        if size <= 0:
-            raise self.error(f"register {name!r} must have positive size")
-        if self.ops:
-            raise self.error("register declarations must precede operations")
-        if which == "q":
-            table[name] = (self.n_qubits, size)
-            self.n_qubits += size
-        else:
-            table[name] = (self.n_clbits, size)
-            self.n_clbits += size
-
-    def indexed(self, table: dict[str, tuple[int, int]], what: str) -> int:
-        name = self.expect_kind("id")
-        if name not in table:
-            raise self.error(f"unknown {what} register {name!r}")
-        offset, size = table[name]
-        self.expect("[")
-        idx = self.int_token()
-        self.expect("]")
-        if idx >= size:
-            raise self.error(f"index {idx} out of range for {name}[{size}]")
-        return offset + idx
-
-    def qubit_arg(self) -> int:
-        return self.indexed(self.qregs, "quantum")
-
-    def clbit_arg(self) -> int:
-        return self.indexed(self.cregs, "classical")
-
-    def measure_stmt(self) -> Operation:
-        q = self.qubit_arg()
-        self.expect("->")
-        c = self.clbit_arg()
-        return Operation("measure", (q,), clbit=c)
-
-    def gate_stmt(self, name: str) -> Operation:
-        if name not in ONE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
-            self.pos -= 1
-            raise self.error(f"unknown gate {name!r}")
-        params: tuple[float, ...] = ()
-        if GATE_PARAM_COUNT[name] == 1:
-            self.expect("(")
-            start = self.pos
-            try:
-                params = (self.expression(),)
-            except ArithmeticError as exc:  # 2^10000 overflows, 0^-1 divides by zero
-                self.pos = start
-                raise self.error(f"angle cannot be evaluated: {exc}") from None
-            self.expect(")")
-        q0 = self.qubit_arg()
-        if name in TWO_QUBIT_GATES:
-            self.expect(",")
-            q1 = self.qubit_arg()
-            return Operation(name, (q0, q1), params)
-        return Operation(name, (q0,), params)
-
-    def if_stmt(self) -> Operation:
-        self.expect("(")
-        tests = [self.condition_test()]
-        while self.at("&&"):
-            self.take()
-            tests.append(self.condition_test())
-        self.expect(")")
-        kind, value = self.take()
-        if value == "reset":
-            q = self.qubit_arg()
-            body = Operation("reset", (q,))
-        elif kind == "id":
-            body = self.gate_stmt(value)
-        else:
-            self.pos -= 1
-            raise self.error("only gates and reset may be conditioned")
-        if len({bit for bit, _ in tests}) != len(tests):
-            raise self.error("repeated clbit in condition")
-        return Operation(body.name, body.qubits, body.params, condition=frozenset(tests))
-
-    def condition_test(self) -> tuple[int, int]:
-        c = self.clbit_arg()
-        self.expect("==")
-        val = self.int_token()
-        if val not in (0, 1):
-            raise self.error("condition value must be 0 or 1")
-        return (c, val)
-
-    # angle expressions: + - on top, then * /, then unary -, then ^, then atoms
-    def expression(self) -> float:
-        value = self.term()
-        while self.at("+") or self.at("-"):
-            _, sym = self.take()
-            rhs = self.term()
+    def expression() -> float:
+        value = term()
+        while toks and toks[-1] in ("+", "-"):
+            sym, rhs = toks.pop(), term()
             value = value + rhs if sym == "+" else value - rhs
         return value
 
-    def term(self) -> float:
-        value = self.unary()
-        while self.at("*") or self.at("/"):
-            _, sym = self.take()
-            rhs = self.unary()
-            if sym == "/":
-                if rhs == 0:
-                    raise self.error("division by zero in angle")
-                value = value / rhs
-            else:
+    def term() -> float:
+        value = unary()
+        while toks and toks[-1] in ("*", "/"):
+            sym, rhs = toks.pop(), unary()
+            if sym == "*":
                 value = value * rhs
+            elif rhs == 0:
+                raise ValueError("division by zero in angle")
+            else:
+                value = value / rhs
         return value
 
-    def unary(self) -> float:
-        if self.at("-"):
-            self.take()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> float:
-        base = self.atom()
-        if self.at("^"):
-            self.take()
-            return base ** self.unary()
+    def unary() -> float:
+        if toks and toks[-1] == "-":
+            toks.pop()
+            return -unary()
+        base = atom()
+        if toks and toks[-1] == "^":
+            toks.pop()
+            return base ** unary()
         return base
 
-    def atom(self) -> float:
-        kind, value = self.take()
-        if kind == "num":
-            return float(value)
-        if value == "pi":
+    def atom() -> float:
+        if not toks:
+            raise ValueError("angle ends early")
+        tok = toks.pop()
+        if tok == "pi":
             return math.pi
-        if value == "(":
-            inner = self.expression()
-            self.expect(")")
+        if tok == "(":
+            inner = expression()
+            if not toks or toks.pop() != ")":
+                raise ValueError("expected ')' in angle")
             return inner
-        self.pos -= 1
-        raise self.error(f"bad angle token {value!r}")
+        if _LITERAL.fullmatch(tok):  # a number: a token holds no sign
+            return float(tok)
+        raise ValueError(f"bad angle token {tok!r}")
+
+    try:
+        value = expression()
+    except ArithmeticError as exc:  # 2^10000 overflows, 0^-1 divides by zero
+        raise ValueError(f"angle cannot be evaluated: {exc}") from None
+    except RecursionError:
+        raise ValueError("angle nested too deeply") from None
+    if toks:
+        raise ValueError(f"bad angle token {toks[-1]!r}")
+    return value
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse circuit text; raises ParseError with line/column on bad input."""
-    return _Parser(text).parse()
+    """Parse circuit text; raises ParseError with the line and column of the
+    offending statement."""
+    text = _LEXEME.sub(_mask, text)
+    statements = text.split(";")
+    regs: dict[str, tuple[str, int, int]] = {}  # name -> ("q" or "c", offset, size)
+    ops: list[Operation] = []
+    start = 0  # offset of the current statement
+    try:
+        version_is_semicolon = False
+        for stmt in statements[:-1]:
+            if version_is_semicolon:  # `OPENQASM ;;`: the first `;` was the version
+                version_is_semicolon = False
+                if stmt.strip():
+                    raise ValueError("expected ';' after the OPENQASM version")
+            else:
+                m = _STATEMENT.fullmatch(stmt)
+                if m is None:
+                    raise ValueError(f"malformed statement {stmt.strip()[:40]!r}")
+                _statement(m, regs, ops)
+                version_is_semicolon = m["version"] == ""
+            start += len(stmt) + 1
+        if version_is_semicolon or statements[-1].strip():
+            raise ValueError("missing ';' at end of statement")
+    except ValueError as exc:  # every check, and int() of an over-long index
+        stmt = text[start:].split(";", 1)[0]
+        at = start + len(stmt) - len(stmt.lstrip())
+        line = text.count("\n", 0, at) + 1
+        raise ParseError(str(exc), line, at - text.rfind("\n", 0, at)) from None
+    n_qubits, n_clbits = (sum(s for k, _, s in regs.values() if k == kind) for kind in "qc")
+    circuit = Circuit(n_qubits, n_clbits, tuple(ops))
+    circuit.validate()
+    return circuit
 
 
-def _format_angle(x: float) -> str:
-    return repr(x)
+def _statement(m: re.Match, regs: dict[str, tuple[str, int, int]], ops: list[Operation]) -> None:
+    """Check one matched statement against the registers declared so far and
+    append its operation, if it has one.  Raises ValueError."""
+    name = m["op"]
+    if name is not None:  # a gate, reset or barrier, maybe conditioned
+        angle, cond = m["angle"], m["cond"]
+        qubits = tuple(_index(regs, r, i, "q") for r, i, _ in _PARTS.findall(m["args"]))
+        if name == "barrier" and angle is None and cond is None:
+            ops.append(Operation("barrier", qubits))
+            return
+        if name not in GATE_PARAM_COUNT and name != "reset":
+            raise ValueError(f"unknown gate {name!r}")
+        arity = 2 if name in TWO_QUBIT_GATES else 1
+        if len(qubits) != arity:
+            raise ValueError(f"{name} takes {arity} qubit(s), got {len(qubits)}")
+        want = GATE_PARAM_COUNT.get(name, 0)
+        if want != (angle is not None):
+            raise ValueError(f"{name} takes {want} angle(s)")
+        condition = None
+        if cond is not None:
+            tests = [(_index(regs, r, i, "c"), int(v)) for r, i, v in _PARTS.findall(cond)]
+            if any(v not in (0, 1) for _, v in tests):
+                raise ValueError("condition value must be 0 or 1")
+            if len({bit for bit, _ in tests}) != len(tests):
+                raise ValueError("repeated clbit in condition")
+            condition = frozenset(tests)
+        params = () if angle is None else (_angle(angle),)
+        ops.append(Operation(name, qubits, params, condition=condition))
+    elif m["measure"] is not None:
+        (q, qi, _), (c, ci, _) = _PARTS.findall(m["measure"])
+        ops.append(Operation("measure", (_index(regs, q, qi, "q"),), clbit=_index(regs, c, ci, "c")))
+    elif m["reg"] is not None:
+        name, kind, size = m["name"], m["reg"], int(m["size"])
+        if name in regs:
+            raise ValueError(f"register {name!r} already declared")
+        if size <= 0:
+            raise ValueError(f"register {name!r} must have positive size")
+        if ops:
+            raise ValueError("register declarations must precede operations")
+        regs[name] = (kind, sum(s for k, _, s in regs.values() if k == kind), size)
+
+
+def _index(regs: dict[str, tuple[str, int, int]], name: str, idx: str, kind: str) -> int:
+    got, offset, size = regs.get(name, ("", 0, 0))
+    if got != kind:
+        raise ValueError(f"unknown {'quantum' if kind == 'q' else 'classical'} register {name!r}")
+    if int(idx) >= size:
+        raise ValueError(f"index {idx} out of range for {name}[{size}]")
+    return offset + int(idx)
 
 
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit back to canonical text (registers named q and c)."""
-    lines = [f"qreg q[{circuit.n_qubits}];"]
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.n_qubits}];"]
     if circuit.n_clbits:
         lines.append(f"creg c[{circuit.n_clbits}];")
     for op in circuit.ops:
@@ -340,7 +235,7 @@ def serialize_circuit(circuit: Circuit) -> str:
         else:
             args = ", ".join(f"q[{q}]" for q in op.qubits)
             if op.params:
-                stmt = f"{op.name}({_format_angle(op.params[0])}) {args}"
+                stmt = f"{op.name}({op.params[0]!r}) {args}"
             else:
                 stmt = f"{op.name} {args}"
         if op.condition is not None:

@@ -281,3 +281,45 @@ class TestBadAngle:
         assert main(["place", "--circuit", str(path), "--k", "1", "--device", "line:2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--layout", "{}"),
+            ("--layout", '{"layout": 5}'),
+            ("--layout", "[1, 2]"),
+            ("--layout", '{"layout": [1e400, 0, 1, 2]}'),
+            ("--layout", '{"layout": [200, 0, 1, 2]}'),
+            ("--layout", '{"layout": [0.7, 1, 2, 3]}'),
+            ("--layout", '{"layout": [true, 0, 2, 3]}'),
+            ("--topology", "null"),
+            ("--topology", '{"controllers": [2], "device": {"kind": "line", "m": 4}}'),
+        ],
+    )
+    def test_exits_2_with_one_line(self, flag, text, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        setup = ["--k", "2", "--device", "line:4"] if flag == "--layout" else []
+        assert main(["route", "--circuit", "dqft4", *setup, flag, str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSweepsFlag:
+    @pytest.mark.parametrize("sweeps", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transpile", "--circuit", "dqft4", "--k", "2", "--device", "line:4"],
+            ["transpile", "--circuit", "dqft4", "--k", "2", "--device", "line:4",
+             "--mode", "baseline"],
+            ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6"],
+        ],
+        ids=["class", "baseline", "sweep"],
+    )
+    def test_fewer_than_one_exits_2_with_one_line(self, argv, sweeps, capsys):
+        assert main([*argv, "--sweeps", sweeps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sweeps" in err and err.count("\n") == 1

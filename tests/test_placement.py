@@ -242,6 +242,15 @@ class TestStage2:
         mq = complete_random_mapping(rng, 5, mc)
         assert stage2_iterate(mq, mc, ld, topo, "pair") == mq
 
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_fewer_than_one_sweep_rejected(self, sweeps):
+        rng = random.Random(3)
+        ld = random_cidq_list(rng, 4, 3)
+        topo, mc = uniform_setup(4, 2, 2)
+        mq = complete_random_mapping(rng, 4, mc)
+        with pytest.raises(ValueError, match="sweeps"):
+            stage2_iterate(mq, mc, ld, topo, "pair", sweeps=sweeps)
+
 
 class TestInitialPlacement:
     def test_fig4_reaches_optimum(self):

@@ -86,13 +86,37 @@ class TestErrors:
         with pytest.raises(CircuitError, match="finite real"):
             parse_circuit(f"qreg q[1];\nu1({angle}) q[0];")
 
-    def test_error_carries_position(self):
+    @pytest.mark.parametrize(
+        "angle", ["(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"], ids=["parens", "minus-signs"]
+    )
+    def test_deeply_nested_angle_is_parse_error(self, angle):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_circuit(f"qreg q[1];\nu1({angle}) q[0];")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("qreg q[1];\nbogus q[0];", 2),
+            ("qreg q[1];\nh q[0];\nx q[0]", 3),
+            ("qreg q[1];\ncreg c[1];\nmeasure r[0] -> c[0];", 3),
+            ("qreg q[2];\n\nh q[0];\ncx q[0], q[2];", 4),
+            ("qreg q[1]; // one qubit\nu1(pi/0) q[0];", 2),
+        ],
+        ids=["unknown-gate", "missing-final-semicolon", "unknown-register",
+             "index-out-of-range", "bad-angle"],
+    )
+    def test_error_carries_position(self, text, line):
         try:
-            parse_circuit("qreg q[1];\nbogus q[0];")
+            parse_circuit(text)
         except ParseError as exc:
-            assert exc.line == 2
+            assert exc.line == line
         else:
             pytest.fail("expected ParseError")
+
+
+def test_serialized_text_starts_with_openqasm_header():
+    lines = serialize_circuit(generate("dqft", 3)).splitlines()
+    assert lines[:2] == ["OPENQASM 2.0;", 'include "qelib1.inc";']
 
 
 def test_roundtrip_all_benchmark_families():
@@ -140,3 +164,47 @@ def arbitrary_circuits(draw):
 @given(arbitrary_circuits())
 def test_serialize_parse_roundtrip(c):
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+_QASM_ALPHABET = "qcregmasuxzhib1[]()0;,->=&/+*^.pe \n\"/"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Delete a short span, or insert random characters or a copy of a span."""
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            text = text[:at] + text[at + rng.randint(1, 6) :]
+        elif roll < 0.7:
+            text = text[:at] + "".join(rng.choices(_QASM_ALPHABET, k=rng.randint(1, 4))) + text[at:]
+        else:
+            src = rng.randrange(len(text) + 1)
+            text = text[:at] + text[src : src + rng.randint(1, 12)] + text[at:]
+    return text
+
+
+def _parse_or_reject(text: str) -> None:
+    """The parser's contract: a Circuit, or ParseError / CircuitError, for any text."""
+    try:
+        assert isinstance(parse_circuit(text), Circuit)
+    except (ParseError, CircuitError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), st.text(_QASM_ALPHABET, max_size=80)))
+def test_arbitrary_text_parses_or_is_rejected(text):
+    _parse_or_reject(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["dqft", "ipe", "cc", "random"]),
+    st.integers(4, 6),
+    st.integers(0, 10**6),
+)
+def test_edited_benchmark_text_parses_or_is_rejected(family, n, seed):
+    rng = random.Random(seed)
+    text = serialize_circuit(generate(family, n, seed=seed % 7))
+    _parse_or_reject(_mutate(text, rng))
