@@ -337,6 +337,26 @@ def controller_of(mq: LogicalPhysicalMap, mc: QubitControllerMap, q: int) -> int
     return mc.assignment[mq.physical(q)]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(spec: dict, section: str, key: str) -> int:
+    """spec[key], which must be present and a (non-bool) integer."""
+    if key not in spec:
+        raise ConfigError(f"topology section {section!r} missing key {key!r}")
+    if not _is_int(spec[key]):
+        raise ConfigError(f"topology {section}.{key} must be an integer, got {spec[key]!r}")
+    return spec[key]
+
+
+def _int_list(value, what: str) -> list:
+    """value, which must be a list of (non-bool) integers."""
+    if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+        raise ConfigError(f"topology {what} must be a list of integers, got {value!r}")
+    return value
+
+
 def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControllerMap]:
     """Load a (controllers, device, assignment) triple from a JSON document.
 
@@ -349,6 +369,8 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
     controllers.kind: star | star_via_router | matrix (with "hop").
     device.kind: line (m) | grid (rows, cols) | heavy_hex_127 | edge_list (path).
     assignment: "contiguous" or {"kind": "explicit", "map": [controller per node]}.
+    Counts and sizes must be integers (not booleans), hop a list of integer
+    rows and path a string; anything else raises ConfigError.
     """
     if isinstance(source, dict):
         doc = source
@@ -366,24 +388,35 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
             raise ConfigError(f"topology section {key!r} must be a JSON object")
     ckind = cspec.get("kind")
     if ckind == "star":
-        topo = star_topology(int(cspec["k"]))
+        topo = star_topology(_int_field(cspec, "controllers", "k"))
     elif ckind == "star_via_router":
-        topo = star_via_router_topology(int(cspec["k"]))
+        topo = star_via_router_topology(_int_field(cspec, "controllers", "k"))
     elif ckind == "matrix":
-        topo = matrix_topology(cspec["hop"])
+        hop = cspec.get("hop")
+        if not isinstance(hop, list):
+            raise ConfigError(f"topology controllers.hop must be a list of rows, got {hop!r}")
+        topo = matrix_topology([_int_list(row, "controllers.hop row") for row in hop])
     else:
         raise ConfigError(f"unknown controllers kind {ckind!r}")
-    device = make_device(dspec.get("kind"), **{k: v for k, v in dspec.items() if k != "kind"})
+    dkind = dspec.get("kind")
+    if dkind == "line":
+        _int_field(dspec, "device", "m")
+    elif dkind == "grid":
+        _int_field(dspec, "device", "rows")
+        _int_field(dspec, "device", "cols")
+    elif dkind == "edge_list" and not isinstance(dspec.get("path"), str):
+        raise ConfigError(f"topology device.path must be a string, got {dspec.get('path')!r}")
+    device = make_device(dkind, **{k: v for k, v in dspec.items() if k != "kind"})
     aspec = doc.get("assignment", "contiguous")
     if aspec == "contiguous":
         mc = contiguous_assignment(device.m, topo.k)
     elif isinstance(aspec, dict) and aspec.get("kind") == "explicit":
-        amap = aspec["map"]
+        amap = _int_list(aspec.get("map"), "assignment.map")
         if len(amap) != device.m:
             raise ConfigError(
                 f"explicit assignment covers {len(amap)} qubits, device has {device.m}"
             )
-        mc = QubitControllerMap(topo.k, tuple(int(x) for x in amap))
+        mc = QubitControllerMap(topo.k, tuple(amap))
         mc.validate()
     else:
         raise ConfigError(f"unknown assignment {aspec!r}")

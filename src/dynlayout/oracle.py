@@ -76,5 +76,6 @@ def brute_force_placement(
             free[c] += 1
 
     recurse(0)
-    assert best is not None
+    if best is None:
+        raise RuntimeError(f"no assignment of {n} qubits fits capacities {capacities}")
     return best_cost, _mapping_from_controllers(best, mc, mc.m)

@@ -11,16 +11,20 @@ movements with the best cumulative gain if that gain is positive.
 
 Movement gains come from per-set controller populations, the input of the
 cost kernel `cidq.population_cost`.  A moving qubit shifts them by a vector
-fixed by its role in the set (source, target or both) and the two controllers
-involved, so each apply-loop iteration calls the kernel once per
-(set, role, source, destination) and once per (set, role pair, destination)
-over all sets together, then gathers those table entries per qubit.  The cost
-of one iteration grows with the number of set memberships, not with the
-number of candidate movements times set sizes.
+fixed by its role in the set (source, target or both) and the controller it
+trades with the pass controller, so each apply-loop iteration calls the
+kernel three times over all sets: per (set, role, controller) for a qubit
+leaving the pass controller, for one arriving, and per (set, role pair,
+controller) for both at once.  It then sums those table entries, in exact
+integers, over the set memberships of the qubits that can still move and of
+their possible exchange partners only.  The cost of one iteration grows with
+those memberships, not with the number of candidate movements times set
+sizes.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -147,18 +151,22 @@ class _GainEngine:
     Counts, per dependency set, the sources and targets under every
     controller: the populations `cidq.population_cost` turns into a cost.
 
-    A pin is one (set, qubit) membership, typed 2*is_source + is_target.
-    Moving a pin's qubit from controller a to b shifts its set's count rows by
-    a vector fixed by the pin type, a and b, so gains are read from per-set
-    type tables: single moves from D[set, type, a, b] (one evaluation of the
-    form over all sets at once) and exchange corrections from
-    tab[set, type_x, type_y, b] (three evaluations).  Pins gather their
-    entries from the tables and scatter them onto qubits.
+    A pin is one (set, qubit) membership, typed 0 for a target, 1 for a
+    source and 2 for both; pins are listed qubit by qubit.  Moving a pin's
+    qubit between the pass controller ci and a controller b shifts its set's
+    count rows by a vector fixed by the pin type and b, so one scoring
+    evaluates the form three times over all sets: d_x[set, type, b] (a pin
+    leaves ci for b), d_y[set, type, b] (a pin comes from b to ci) and
+    d_j[set, type_x, type_y, b] (both at once).  A movement's gain sums d_x
+    and d_y over the pins of the moved qubits; an exchange adds the joint
+    correction d_j - d_x - d_y of every set holding both qubits.  Only the
+    pins of movable qubits and of their partners are read, and every sum is
+    an exact int64 sum per qubit.
     """
 
     # source / target flag of each pin type
-    TYPE_SRC = np.array([0, 0, 1, 1], dtype=np.int64)
-    TYPE_TGT = np.array([0, 1, 0, 1], dtype=np.int64)
+    TYPE_SRC = np.array([0, 1, 1], dtype=np.int64)
+    TYPE_TGT = np.array([1, 0, 1], dtype=np.int64)
 
     def __init__(self, ld: CidqList, k: int, hop, mode: str):
         self.k = k
@@ -166,16 +174,23 @@ class _GainEngine:
         self.hop = np.asarray(hop, dtype=np.int64)
         self.n = ld.n_qubits
         self.n_sets = len(ld)
-        pins = [
-            (i, q, 2 * (q in d.measured) + (q in d.targets))
-            for i, d in enumerate(ld)
-            for q in sorted(d.qubits)
-        ]
-        self.pin_set, self.pin_q, self.pin_type = (
-            np.array(pins, dtype=np.int64).reshape(-1, 3).T
-        )
-        self.pin_src = self.TYPE_SRC[self.pin_type] == 1
-        self.pin_tgt = self.TYPE_TGT[self.pin_type] == 1
+
+        def keys(role: str) -> np.ndarray:
+            """Pin key q * sets + set of every qubit q in that role of a set."""
+            groups = [getattr(d, role) for d in ld]
+            q = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64)
+            return q * self.n_sets + np.repeat(np.arange(self.n_sets), [len(g) for g in groups])
+
+        src, tgt = keys("measured"), keys("targets")
+        key = np.sort(np.concatenate((src, tgt)))
+        key = key[np.diff(key, prepend=-1) != 0]  # ascending: pins listed qubit by qubit
+        self.pin_q, self.pin_set = np.divmod(key, self.n_sets)
+        self.pin_src = np.zeros(key.size, dtype=bool)
+        self.pin_src[np.searchsorted(key, src)] = True
+        self.pin_tgt = np.zeros(key.size, dtype=bool)
+        self.pin_tgt[np.searchsorted(key, tgt)] = True
+        self.pin_type = 2 * self.pin_src + self.pin_tgt - 1
+        self.pin_count = np.bincount(self.pin_q, minlength=self.n)
         eye = np.eye(k, dtype=np.int64)
         # shift[a, b]: count-row change when one unit moves from controller a to b
         self.shift = eye[None, :, :] - eye[:, None, :]
@@ -194,49 +209,17 @@ class _GainEngine:
         tcnt = np.bincount(key[self.pin_tgt], minlength=size).reshape(self.n_sets, self.k)
         return scnt, tcnt, population_cost(scnt, tcnt, self.hop, self.mode)
 
-    def single_move_deltas(
-        self, ctl: np.ndarray, scnt: np.ndarray, tcnt: np.ndarray, s_cur: np.ndarray
-    ) -> np.ndarray:
-        """drel[q, b]: objective change when qubit q alone moves to controller b."""
-        per_type = (slice(None), None, None, None)
-        ds = self.TYPE_SRC[per_type] * self.shift
-        dt = self.TYPE_TGT[per_type] * self.shift
-        table = self._deltas(scnt, tcnt, s_cur, ds, dt)  # D[set, type, a, b]
-        drel = np.zeros((self.n, self.k), dtype=np.int64)
-        np.add.at(drel, self.pin_q, table[self.pin_set, self.pin_type, ctl[self.pin_q]])
-        return drel
-
-    def exchange_corrections(
-        self,
-        ctl: np.ndarray,
-        scnt: np.ndarray,
-        tcnt: np.ndarray,
-        s_cur: np.ndarray,
-        ci: int,
-        allowed: np.ndarray,
-    ) -> np.ndarray:
-        """corr[qa, qb]: joint-move delta minus the two single-move deltas, for
-        qa under ci and qb under an allowed controller sharing a set with qa.
-        Nonzero only when both endpoints sit in one set, which the per-qubit
-        sums cannot see."""
-        # x of type tx leaves ci for b; y of type ty leaves b for ci
-        ds = self.TYPE_SRC[:, None, None] * self.shift[ci]
-        dt = self.TYPE_TGT[:, None, None] * self.shift[ci]
-        d_x = self._deltas(scnt, tcnt, s_cur, ds, dt)
-        d_y = self._deltas(scnt, tcnt, s_cur, -ds, -dt)
-        d_j = self._deltas(scnt, tcnt, s_cur, ds[:, None] - ds, dt[:, None] - dt)
-        tab = (d_j - d_x[:, :, None] - d_y[:, None]) * allowed  # [set, tx, ty, b]
-        # w[set, tx, qb]: the entry pin (set, qb) adds for a partner of type tx
-        w = np.zeros((self.n_sets, 4, self.n), dtype=np.int64)
-        w[self.pin_set, :, self.pin_q] = tab[self.pin_set, :, self.pin_type, ctl[self.pin_q]]
-        # x[qa, set, tx]: qa under ci is a pin of that type in that set
-        in_ci = ctl[self.pin_q] == ci
-        x = np.zeros((self.n, self.n_sets, 4), dtype=np.int64)
-        x[self.pin_q[in_ci], self.pin_set[in_ci], self.pin_type[in_ci]] = 1
-        rows = np.flatnonzero(ctl == ci)
-        corr = np.zeros((self.n, self.n), dtype=np.int64)
-        corr[rows] = x[rows].reshape(rows.size, 4 * self.n_sets) @ w.reshape(-1, self.n)
-        return corr
+    def _per_qubit(self, qubits: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """vals summed over the pins of each of the ascending `qubits`: the
+        last axis of vals lists their pins in pin order, and becomes one
+        entry per qubit."""
+        count = self.pin_count[qubits]
+        out = np.zeros(vals.shape[:-1] + (qubits.size,), dtype=np.int64)
+        has_pins = count > 0  # reduceat cannot give an empty group its zero sum
+        if has_pins.any():
+            starts = (np.cumsum(count) - count)[has_pins]
+            out[..., has_pins] = np.add.reduceat(vals, starts, axis=-1)
+        return out
 
     def scores(
         self,
@@ -251,15 +234,34 @@ class _GainEngine:
         controller b; ex[qa, qb] exchanges unlocked qa with unlocked qb under
         an allowed controller."""
         scnt, tcnt, s_cur = self.tables(ctl)
-        drel = self.single_move_deltas(ctl, scnt, tcnt, s_cur)
-        corr = self.exchange_corrections(ctl, scnt, tcnt, s_cur, ci, allowed)
+        # x of type tx leaves ci for b; y of type ty leaves b for ci
+        ds = self.TYPE_SRC[:, None, None] * self.shift[ci]
+        dt = self.TYPE_TGT[:, None, None] * self.shift[ci]
+        d_x = self._deltas(scnt, tcnt, s_cur, ds, dt)
+        d_y = self._deltas(scnt, tcnt, s_cur, -ds, -dt)
+        d_j = self._deltas(scnt, tcnt, s_cur, ds[:, None] - ds, dt[:, None] - dt)
         movable = (ctl == ci) & ~locked
-        rel_valid = movable[:, None] & (allowed & has_free)[None, :]
-        rel = np.where(rel_valid, -drel, _NEG)
-        ex_valid = movable[:, None] & (allowed[ctl] & ~locked)[None, :]
-        ex_gain = -(drel[np.arange(self.n)[:, None], ctl[None, :]] + drel[:, ci][None, :] + corr)
-        return rel, np.where(ex_valid, ex_gain, _NEG)
-
+        partner = allowed[ctl] & ~locked
+        rows, cols = np.flatnonzero(movable), np.flatnonzero(partner)
+        pa = np.flatnonzero(movable[self.pin_q])  # pins of rows, qubit by qubit
+        pb = np.flatnonzero(partner[self.pin_q])  # pins of cols, qubit by qubit
+        set_a, type_a = self.pin_set[pa], self.pin_type[pa]
+        set_b, type_b, ctl_b = self.pin_set[pb], self.pin_type[pb], ctl[self.pin_q[pb]]
+        # leave[b, i]: rows[i] alone leaves ci for b; enter[j]: cols[j] alone comes to ci
+        leave = self._per_qubit(rows, d_x[set_a, type_a].T)
+        enter = self._per_qubit(cols, d_y[set_b, type_b, ctl_b])
+        # w[j, set, tx]: the joint correction pin (set, cols[j]) adds to an
+        # exchange of cols[j] with a pin of type tx in that set
+        w = np.zeros((cols.size, self.n_sets, 3), dtype=np.int64)
+        col_of_pin = np.repeat(np.arange(cols.size), self.pin_count[cols])
+        w[col_of_pin, set_b] = (d_j - d_x[:, :, None] - d_y[:, None])[set_b, :, type_b, ctl_b]
+        corr = self._per_qubit(rows, w[:, set_a, type_a])  # [j, i]
+        rel = np.full((self.n, self.k), _NEG, dtype=np.int64)
+        dests = np.flatnonzero(allowed & has_free)
+        rel[rows[:, None], dests] = -leave[dests].T
+        ex = np.full((self.n, self.n), _NEG, dtype=np.int64)
+        ex[rows[:, None], cols] = -(leave[ctl[cols]] + enter[:, None] + corr).T
+        return rel, ex
 
 
 def run_pass(

@@ -283,6 +283,18 @@ class TestBadAngle:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def topology_doc(controllers=None, device=None, assignment="contiguous") -> str:
+    """A topology document for line:4 under two star controllers, with one
+    section replaced."""
+    return json.dumps(
+        {
+            "controllers": controllers or {"kind": "star", "k": 2},
+            "device": device or {"kind": "line", "m": 4},
+            "assignment": assignment,
+        }
+    )
+
+
 class TestBadDocuments:
     @pytest.mark.parametrize(
         "flag, text",
@@ -296,6 +308,19 @@ class TestBadDocuments:
             ("--layout", '{"layout": [true, 0, 2, 3]}'),
             ("--topology", "null"),
             ("--topology", '{"controllers": [2], "device": {"kind": "line", "m": 4}}'),
+            ("--topology", topology_doc(controllers={"kind": "star", "k": None})),
+            ("--topology", topology_doc(controllers={"kind": "star", "k": True})),
+            ("--topology", topology_doc(controllers={"kind": "star_via_router", "k": 2.0})),
+            ("--topology", topology_doc(device={"kind": "line"})),
+            ("--topology", topology_doc(device={"kind": "line", "m": "4"})),
+            ("--topology", topology_doc(device={"kind": "grid", "rows": 2, "cols": False})),
+            ("--topology", topology_doc(device={"kind": "edge_list"})),
+            ("--topology", topology_doc(controllers={"kind": "matrix", "hop": 5})),
+            ("--topology", topology_doc(controllers={"kind": "matrix", "hop": [0, 1]})),
+            ("--topology", topology_doc(controllers={"kind": "matrix", "hop": [[0, True]]})),
+            ("--topology", topology_doc(assignment={"kind": "explicit", "map": 5})),
+            ("--topology", topology_doc(assignment={"kind": "explicit"})),
+            ("--topology", topology_doc(assignment={"kind": "explicit", "map": [0, 0.5, 1, 1]})),
         ],
     )
     def test_exits_2_with_one_line(self, flag, text, tmp_path, capsys):

@@ -300,3 +300,76 @@ class TestRandomLayout:
             mq = random_layout(3, 12, seed=seed)
             seen.update(mq.physical(q) for q in range(3))
         assert seen == set(range(12))
+
+
+# Physical homes of logical qubits 0..n-1 from initial_placement (seed 0) on
+# heavy_hex_127 with a star topology and contiguous controllers, keyed by
+# (family, n, blocks, k, cost mode).
+LAYOUT_PINS = {
+    ("dqft", 20, None, 4, "pair"): [
+        51, 50, 49, 48, 47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 32, 33,
+    ],
+    ("dqft", 20, None, 4, "per_target"): [
+        51, 50, 49, 48, 47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 32, 33,
+    ],
+    ("dqft", 20, None, 5, "pair"): [
+        45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 26, 27,
+    ],
+    ("dqft", 20, None, 5, "per_target"): [
+        45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 26, 27,
+    ],
+    ("dqft", 40, None, 4, "pair"): [
+        7, 6, 5, 4, 3, 2, 1, 0, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50,
+        49, 48, 47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 32, 33,
+    ],
+    ("dqft", 40, None, 4, "per_target"): [
+        7, 6, 5, 4, 3, 2, 1, 0, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50,
+        49, 48, 47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 32, 33,
+    ],
+    ("dqft", 40, None, 5, "pair"): [
+        13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 51, 50, 49, 48, 47, 46, 45, 44,
+        43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 26, 27,
+    ],
+    ("dqft", 40, None, 5, "per_target"): [
+        13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 51, 50, 49, 48, 47, 46, 45, 44,
+        43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 26, 27,
+    ],
+    ("dqft", 60, None, 4, "pair"): [
+        27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7,
+        6, 5, 4, 3, 2, 1, 0, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49,
+        48, 47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 32, 33,
+    ],
+    ("dqft", 60, None, 4, "per_target"): [
+        27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7,
+        6, 5, 4, 3, 2, 1, 0, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49,
+        48, 47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 32, 33,
+    ],
+    ("dqft", 60, None, 5, "pair"): [
+        59, 58, 57, 56, 55, 54, 53, 52, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14,
+        13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 51, 50, 49, 48, 47, 46, 45, 44,
+        43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 26, 27,
+    ],
+    ("dqft", 60, None, 5, "per_target"): [
+        59, 58, 57, 56, 55, 54, 53, 52, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14,
+        13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 51, 50, 49, 48, 47, 46, 45, 44,
+        43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 26, 27,
+    ],
+    ("pe", 20, None, 4, "pair"): [
+        32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51,
+    ],
+    ("random", 48, 6, 4, "pair"): [
+        32, 36, 37, 38, 39, 64, 0, 40, 33, 65, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50,
+        51, 52, 96, 53, 54, 66, 1, 55, 56, 57, 58, 59, 60, 61, 62, 34, 63, 68, 69, 70,
+        71, 72, 35, 73, 67, 74, 75, 97,
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(LAYOUT_PINS), ids=lambda key: "-".join(map(str, key)))
+def test_initial_placement_layouts_pinned(key):
+    """Refactors of the placement engine must leave its layouts unchanged."""
+    family, n, blocks, k, mode = key
+    ld = extract_cidq_sets(generate(family, n, blocks))
+    mc = contiguous_assignment(127, k)
+    mq = initial_placement(mc, ld, star_topology(k), heavy_hex_127_device(), mode=mode, seed=0)
+    assert [mq.physical(q) for q in range(n)] == LAYOUT_PINS[key]
