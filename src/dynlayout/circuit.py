@@ -148,41 +148,44 @@ class OpDag:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        n = len(circuit.ops)
-        succ: list[set[int]] = [set() for _ in range(n)]
-        pred: list[set[int]] = [set() for _ in range(n)]
-
-        def link(a: int, b: int) -> None:
-            if a != b and b not in succ[a]:
-                succ[a].add(b)
-                pred[b].add(a)
-
+        ops = circuit.ops
+        preds: list[tuple[int, ...]] = []
         last_on_qubit: dict[int, int] = {}
         writer: dict[int, int] = {}
         readers: dict[int, list[int]] = {}
-        for i, op in enumerate(circuit.ops):
+        for i, op in enumerate(ops):
+            pred = set()
             for q in op.qubits:
                 if q in last_on_qubit:
-                    link(last_on_qubit[q], i)
+                    pred.add(last_on_qubit[q])
+            for q in op.qubits:
                 last_on_qubit[q] = i
             if op.condition is not None:
                 for bit, _ in op.condition:
                     if bit not in writer:
                         raise CircuitError(f"op {i} conditioned on unwritten clbit {bit}")
-                    link(writer[bit], i)
-                    readers.setdefault(bit, []).append(i)
-            if op.is_measure:
+                    pred.add(writer[bit])
+                    readers[bit].append(i)
+            if op.name == "measure":
                 bit = op.clbit
                 if bit in writer:
-                    link(writer[bit], i)
-                for r in readers.get(bit, ()):
-                    link(r, i)
+                    pred.add(writer[bit])
+                    pred.update(readers[bit])
+                    pred.discard(i)  # a measure conditioned on its own bit reads it
                 writer[bit] = i
                 readers[bit] = []
+            preds.append(tuple(sorted(pred)))
 
-        self.n_nodes = n
-        self.succ: list[tuple[int, ...]] = [tuple(sorted(s)) for s in succ]
-        self.pred: list[tuple[int, ...]] = [tuple(sorted(p)) for p in pred]
+        # visiting ops in order appends each successor list in ascending order
+        succ: list[list[int]] = [[] for _ in ops]
+        for i, pred in enumerate(preds):
+            for j in pred:
+                succ[j].append(i)
+        self.n_nodes = len(ops)
+        self.succ: list[tuple[int, ...]] = [tuple(s) for s in succ]
+        self.pred: list[tuple[int, ...]] = preds
+        # read by the router on every visit, so computed once here
+        self.two_qubit: list[bool] = [op.name in TWO_QUBIT_GATES for op in ops]
 
     def front_layer(self) -> list[int]:
         """Op indices with no predecessors, ascending."""
@@ -201,26 +204,35 @@ def depth(circuit: Circuit) -> int:
     measure that wrote each of its bits, and a measure above the previous
     writer of its bit and every reader of that writer.
     """
-    on_qubit: dict[int, int] = {}  # qubit -> level of the last op on it
+    on_qubit = [0] * circuit.n_qubits  # qubit -> level of the last op on it
     writer: dict[int, int] = {}  # clbit -> level of the measure that wrote it
     touched: dict[int, int] = {}  # clbit -> highest level of that writer or its readers
     best = 0
     for i, op in enumerate(circuit.ops):
-        below = [on_qubit.get(q, 0) for q in op.qubits]
-        if op.condition is not None:
-            for bit, _ in op.condition:
+        level = 0
+        for q in op.qubits:
+            if on_qubit[q] > level:
+                level = on_qubit[q]
+        condition = op.condition
+        if condition is not None:
+            for bit, _ in condition:
                 if bit not in writer:
                     raise CircuitError(f"op {i} conditioned on unwritten clbit {bit}")
-                below.append(writer[bit])
-        if op.is_measure:
-            below.append(touched.get(op.clbit, 0))
-        level = max(below, default=0) + (0 if op.is_barrier else 1)
+                if writer[bit] > level:
+                    level = writer[bit]
+        measure = op.name == "measure"
+        if measure and touched.get(op.clbit, 0) > level:
+            level = touched[op.clbit]
+        if op.name != "barrier":
+            level += 1
         for q in op.qubits:
             on_qubit[q] = level
-        if op.condition is not None:
-            for bit, _ in op.condition:
-                touched[bit] = max(touched[bit], level)
-        if op.is_measure:
+        if condition is not None:
+            for bit, _ in condition:
+                if touched[bit] < level:
+                    touched[bit] = level
+        if measure:
             writer[op.clbit] = touched[op.clbit] = level
-        best = max(best, level)
+        if level > best:
+            best = level
     return best

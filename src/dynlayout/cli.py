@@ -74,13 +74,12 @@ def _parse_device(token: str):
 def _shortcut_setup(device, controllers: str, k: int):
     """(topology, device, assignment) for k controllers of the given kind,
     each owning a contiguous block of the device."""
-    if controllers == "star":
-        topo = star_topology(k)
-    elif controllers == "star_via_router":
-        topo = star_via_router_topology(k)
-    else:
+    if controllers not in ("star", "star_via_router"):
         raise CliError(f"unknown controllers kind {controllers!r}")
-    return topo, device, contiguous_assignment(device.m, k)
+    # checks 1 <= k <= m before a k x k hop matrix is built
+    mc = contiguous_assignment(device.m, k)
+    topo = star_topology(k) if controllers == "star" else star_via_router_topology(k)
+    return topo, device, mc
 
 
 def _load_setup(args):

@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 UNASSIGNED = -1
+MAX_HOP = 2**31 - 1  # keeps every ICCS sum well inside int64
 
 
 class ConfigError(ValueError):
@@ -21,9 +22,10 @@ class ControllerTopology:
 
     hop[i][j] is the number of communication steps needed to forward one
     measurement outcome from controller i to controller j.  The matrix must
-    have a zero diagonal, be symmetric, have off-diagonal entries >= 1, and
-    satisfy the triangle inequality (checked against its Floyd-Warshall
-    closure, i.e. relaying through a third controller can never be cheaper).
+    have a zero diagonal, be symmetric, have off-diagonal entries in
+    1..MAX_HOP (2**31 - 1), and satisfy the triangle inequality (checked
+    against its Floyd-Warshall closure, i.e. relaying through a third
+    controller can never be cheaper).
     """
 
     hop: tuple[tuple[int, ...], ...]
@@ -47,6 +49,10 @@ class ControllerTopology:
                     raise ConfigError(f"hop matrix asymmetric at ({i},{j})")
                 if i != j and self.hop[i][j] < 1:
                     raise ConfigError(f"hop[{i}][{j}] must be >= 1")
+                if self.hop[i][j] > MAX_HOP:
+                    raise ConfigError(
+                        f"hop[{i}][{j}] = {self.hop[i][j]} exceeds the limit 2**31 - 1"
+                    )
         closure = [list(row) for row in self.hop]
         for l in range(k):
             for i in range(k):
@@ -387,15 +393,14 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
         if not isinstance(spec, dict):
             raise ConfigError(f"topology section {key!r} must be a JSON object")
     ckind = cspec.get("kind")
-    if ckind == "star":
-        topo = star_topology(_int_field(cspec, "controllers", "k"))
-    elif ckind == "star_via_router":
-        topo = star_via_router_topology(_int_field(cspec, "controllers", "k"))
+    if ckind in ("star", "star_via_router"):
+        k = _int_field(cspec, "controllers", "k")
     elif ckind == "matrix":
         hop = cspec.get("hop")
         if not isinstance(hop, list):
             raise ConfigError(f"topology controllers.hop must be a list of rows, got {hop!r}")
-        topo = matrix_topology([_int_list(row, "controllers.hop row") for row in hop])
+        hop = [_int_list(row, "controllers.hop row") for row in hop]
+        k = len(hop)
     else:
         raise ConfigError(f"unknown controllers kind {ckind!r}")
     dkind = dspec.get("kind")
@@ -406,7 +411,16 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
         _int_field(dspec, "device", "cols")
     elif dkind == "edge_list" and not isinstance(dspec.get("path"), str):
         raise ConfigError(f"topology device.path must be a string, got {dspec.get('path')!r}")
-    device = make_device(dkind, **{k: v for k, v in dspec.items() if k != "kind"})
+    device = make_device(dkind, **{key: v for key, v in dspec.items() if key != "kind"})
+    # every controller needs a qubit: refuse before building a k x k hop matrix
+    if k > device.m:
+        raise ConfigError(f"cannot split {device.m} qubits across {k} controllers")
+    if ckind == "star":
+        topo = star_topology(k)
+    elif ckind == "star_via_router":
+        topo = star_via_router_topology(k)
+    else:
+        topo = matrix_topology(hop)
     aspec = doc.get("assignment", "contiguous")
     if aspec == "contiguous":
         mc = contiguous_assignment(device.m, topo.k)

@@ -3,16 +3,25 @@
 The routing loop is look-ahead distance-minimizing in the usual style: run
 every front-layer op whose operands allow it, and when only non-adjacent
 two-qubit gates remain, insert the SWAP that minimizes a depth cost over the
-front layer plus a bounded window of upcoming two-qubit gates.  The window
-and the gate weights depend only on the front layer, so they are built once
-per front and reused while SWAPs go in against it.  Scores are integers (the
-depth cost scaled by a per-front constant), and each candidate is scored by
-the change in weighted distance of the gates touching its two qubits, so
-"equally good" SWAPs tie exactly; the tie is then broken by the
-communication cost of the dependency sets active near the front, evaluated
-under each tied SWAP, with a seeded-random pick among the remaining best.
-A baseline variant replaces that tie-break with the seeded pick alone,
-leaving every other decision identical.
+front layer plus a bounded window of upcoming two-qubit gates.
+
+Whatever depends only on the front layer is built once per front, when its
+first SWAP decision comes, and kept while SWAPs go in against it: the sorted
+front, the look-ahead gates and weights indexed by logical qubit (a SWAP
+moves qubits but changes no gate, so the index stays valid), and the front's
+blocked gates by logical qubit.  Scores are integers (the depth cost scaled
+by a per-front constant): each candidate is scored by the change in
+weighted distance of the look-ahead gates on its two logical qubits, so
+"equally good" SWAPs tie exactly.  After a SWAP only the front gates on the
+two swapped qubits are tested again, since no other gate moved.
+
+The tie holds the exact best candidates plus, with a tie_epsilon, those
+within it of the best that still lower the depth cost, so a wide tolerance
+never admits SWAPs that lead nowhere.  It is broken by the communication
+cost of the dependency sets active near the front, evaluated under each
+tied SWAP, with a seeded-random pick among the remaining best.  A baseline
+variant replaces that tie-break with the seeded pick alone, leaving every
+other decision identical.
 """
 from __future__ import annotations
 
@@ -71,28 +80,38 @@ def obtain_swaps(
 ) -> list[tuple[int, int]]:
     """Candidate SWAPs: every device edge touching the physical image of any
     qubit in the front layer's two-qubit gates, deduplicated and sorted."""
-    phys = {mq.physical(q) for op in front_ops if op.is_two_qubit for q in op.qubits}
-    return sorted({(p, nb) if p < nb else (nb, p) for p in phys for nb in device.neighbors(p)})
+    physical, adj = mq.physical, device.adj
+    edges = set()
+    for op in front_ops:
+        if op.is_two_qubit:
+            for q in op.qubits:
+                p = physical(q)
+                for nb in adj[p]:
+                    edges.add((p, nb) if p < nb else (nb, p))
+    return sorted(edges)
 
 
 def extended_set(front: list[int], dag: OpDag) -> list[int]:
     """Up to EXTENDED_SET_SIZE upcoming two-qubit ops, breadth-first over DAG
     successors of the front layer."""
+    succ, two_qubit = dag.succ, dag.two_qubit
     out: list[int] = []
     seen = set(front)
-    frontier = sorted(front)
-    while frontier and len(out) < EXTENDED_SET_SIZE:
+    frontier = front
+    while frontier:
         nxt = []
         for node in frontier:
-            for succ in dag.succ[node]:
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
+            for s in succ[node]:
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
         nxt.sort()
-        for node in nxt:
-            if dag.circuit.ops[node].is_two_qubit and len(out) < EXTENDED_SET_SIZE:
-                out.append(node)
         frontier = nxt
+        for node in nxt:
+            if two_qubit[node]:
+                out.append(node)
+                if len(out) == EXTENDED_SET_SIZE:
+                    return out
     return out
 
 
@@ -106,17 +125,18 @@ def _lookahead(front: list[int], dag: OpDag) -> tuple[list[tuple[int, int, int]]
     weight p/q, the cost sum_F/|F| + w*sum_E/|E| is scaled by q|F||E|; without
     look-ahead it is sum_F/|F|, scaled by |F|.
     """
-    ops = dag.circuit.ops
-    f2 = [node for node in front if ops[node].is_two_qubit]
+    ops, two_qubit = dag.circuit.ops, dag.two_qubit
+    f2 = [node for node in front if two_qubit[node]]
     if not f2:
         return [], 1
     ext = extended_set(front, dag)
     if not ext:
         return [(*ops[node].qubits, 1) for node in f2], len(f2)
-    w = EXTENDED_SET_WEIGHT
-    gates = [(*ops[node].qubits, w.denominator * len(ext)) for node in f2]
-    gates += [(*ops[node].qubits, w.numerator * len(f2)) for node in ext]
-    return gates, w.denominator * len(f2) * len(ext)
+    p, q = EXTENDED_SET_WEIGHT.as_integer_ratio()
+    front_weight, ext_weight = q * len(ext), p * len(f2)
+    gates = [(*ops[node].qubits, front_weight) for node in f2]
+    gates += [(*ops[node].qubits, ext_weight) for node in ext]
+    return gates, q * len(f2) * len(ext)
 
 
 def depth_cost(
@@ -128,36 +148,6 @@ def depth_cost(
     gates, scale = _lookahead(front, dag)
     dist, phys = device.dist, mq.physical
     return Fraction(sum(w * dist[phys(a)][phys(b)] for a, b, w in gates), scale)
-
-
-def _swap_deltas(
-    candidates: list[tuple[int, int]],
-    gates: list[tuple[int, int, int]],
-    mq: LogicalPhysicalMap,
-    device: DeviceGraph,
-) -> list[int]:
-    """Scaled depth-cost change of each candidate SWAP under mq.
-
-    Only gates with an operand on one of the two swapped qubits move; a gate
-    on both keeps its distance, so it adds nothing."""
-    dist, fwd = device.dist, mq.forward
-    touching: dict[int, list[tuple[int, int]]] = {}  # physical -> (other end, weight)
-    for a, b, w in gates:
-        pa, pb = fwd[a], fwd[b]
-        touching.setdefault(pa, []).append((pb, w))
-        touching.setdefault(pb, []).append((pa, w))
-    deltas = []
-    for x, y in candidates:
-        dx, dy = dist[x], dist[y]
-        delta = 0
-        for other, w in touching.get(x, ()):
-            if other != y:
-                delta += w * (dy[other] - dx[other])
-        for other, w in touching.get(y, ()):
-            if other != x:
-                delta += w * (dx[other] - dy[other])
-        deltas.append(delta)
-    return deltas
 
 
 def target_owners(ld: CidqList) -> dict[int, list[CidqSet]]:
@@ -202,12 +192,6 @@ def iccs_score(
     return int(set_costs(active, _swap_controllers([swap], mq, mc), topo, mode).sum())
 
 
-def _executable(op: Operation, mq: LogicalPhysicalMap, device: DeviceGraph) -> bool:
-    if op.is_two_qubit:
-        return device.dist[mq.physical(op.qubits[0])][mq.physical(op.qubits[1])] == 1
-    return True
-
-
 def schedule(
     circuit: Circuit,
     dag: OpDag,
@@ -227,8 +211,10 @@ def schedule(
     active dependency sets; "random" (the baseline ablation) picks among the
     depth-tied SWAPs directly.  Both use the seeded generator, so a fixed
     (circuit, layout, seed, config) tuple reproduces the output exactly.
-    tie_epsilon (finite, >= 0) widens the tie: every candidate whose depth
-    cost is within it of the best joins the argmin set.
+    tie_epsilon (finite, >= 0) widens the tie: a candidate whose depth cost
+    is within it of the best joins the argmin set if the SWAP lowers the
+    depth cost.  The exact best always joins; at 0 the tie is the exact best
+    alone.
     """
     if tie_break not in ("iccs", "random"):
         raise ValueError(f"tie_break must be 'iccs' or 'random', got {tie_break!r}")
@@ -242,77 +228,108 @@ def schedule(
     owners = target_owners(ld)
     rng = random.Random(seed)
     mq = mq0.copy()
-    ops = circuit.ops
-    indeg = [len(dag.pred[i]) for i in range(dag.n_nodes)]
+    fwd, inv = mq.forward, mq.inverse  # swap_physical updates both in place
+    dist = device.dist
+    ops, two_qubit = circuit.ops, dag.two_qubit
+    indeg = [len(p) for p in dag.pred]
     front = set(dag.front_layer())
     out_ops: list[Operation] = []
     log: list[tuple] = []
-    decisions: list[SwapDecision] = []
-    swaps_inserted = 0
+    decisions: list[SwapDecision] = []  # one per inserted SWAP
     stagnant_swaps = 0
     livelock_limit = 3 * device.m
-    gates: list[tuple[int, int, int]] | None = None  # look-ahead of the current front
+    ready: list[int] | None = None  # None until the whole front has been tested
+    front_nodes: list[int] | None = None  # the sorted front, once a decision needs it
+
+    def adjacent(node: int) -> bool:
+        a, b = ops[node].qubits
+        return dist[fwd[a]][fwd[b]] == 1
 
     def emit_swap(pa: int, pb: int) -> None:
-        nonlocal swaps_inserted, stagnant_swaps
+        nonlocal stagnant_swaps
         out_ops.append(Operation("swap", (pa, pb)))
         log.append(("swap", pa, pb))
         mq.swap_physical(pa, pb)
-        swaps_inserted += 1
         stagnant_swaps += 1
 
-    def execute(node: int) -> None:
-        nonlocal stagnant_swaps
-        op = ops[node]
-        out_ops.append(
-            Operation(
-                op.name,
-                tuple(mq.physical(q) for q in op.qubits),
-                op.params,
-                op.clbit,
-                op.condition,
-            )
-        )
-        log.append(("op", node))
-        front.discard(node)
-        for succ in dag.succ[node]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                front.add(succ)
-        stagnant_swaps = 0
-
     while front:
-        ready = [node for node in sorted(front) if _executable(ops[node], mq, device)]
+        if ready is None:
+            ready = [node for node in sorted(front) if not two_qubit[node] or adjacent(node)]
         if ready:
             for node in ready:
-                execute(node)
-            gates = None
+                op = ops[node]
+                out_ops.append(Operation(
+                    op.name, tuple([fwd[q] for q in op.qubits]), op.params, op.clbit, op.condition
+                ))
+                log.append(("op", node))
+                front.discard(node)
+                for succ in dag.succ[node]:
+                    indeg[succ] -= 1
+                    if indeg[succ] == 0:
+                        front.add(succ)
+            stagnant_swaps = 0
+            ready = front_nodes = None
             continue
 
-        front_nodes = sorted(front)
+        if front_nodes is None:
+            # state that depends only on the front, kept while SWAPs go in
+            # against it; every front op is now a blocked two-qubit gate
+            front_nodes = sorted(front)
+            front_ops = [ops[node] for node in front_nodes]
+            blocked: dict[int, list[int]] = {}  # logical qubit -> front gates on it
+            for node in front_nodes:
+                for q in ops[node].qubits:
+                    blocked.setdefault(q, []).append(node)
+            gates, scale = _lookahead(front_nodes, dag)
+            # scores are integers, so s - best <= eps*scale iff s <= best + slack
+            slack = math.floor(epsilon * scale)
+            # the look-ahead by logical qubit, which no SWAP changes; gates on
+            # one pair are merged, so a candidate sums each pair once
+            pair_weight: dict[tuple[int, int], int] = {}
+            for a, b, w in gates:
+                key = (a, b) if a < b else (b, a)
+                pair_weight[key] = pair_weight.get(key, 0) + w
+            touching: dict[int, list[tuple[int, int]]] = {}  # logical -> (other end, weight)
+            for (a, b), w in pair_weight.items():
+                touching.setdefault(a, []).append((b, w))
+                touching.setdefault(b, []).append((a, w))
+
         if stagnant_swaps >= livelock_limit:
             # force-route the oldest blocked gate along a shortest path
-            node = front_nodes[0]
-            a, b = ops[node].qubits
-            path = device.shortest_path(mq.physical(a), mq.physical(b))
+            a, b = ops[front_nodes[0]].qubits
+            path = device.shortest_path(fwd[a], fwd[b])
             for i in range(len(path) - 2):
                 decisions.append(
                     SwapDecision((min(path[i], path[i + 1]), max(path[i], path[i + 1])), (), True)
                 )
                 emit_swap(path[i], path[i + 1])
             stagnant_swaps = 0
+            ready = None
             continue
 
-        if gates is None:
-            gates, scale = _lookahead(front_nodes, dag)
-            # scores are integers, so s - best <= eps*scale iff s <= best + slack
-            slack = math.floor(epsilon * scale)
-        front_ops = [ops[node] for node in front_nodes]
         candidates = obtain_swaps(front_ops, mq, device)
-        # each score is the scaled depth cost after the SWAP minus the one before
-        scores = _swap_deltas(candidates, gates, mq, device)
-        limit = min(scores) + slack
-        similar = [c for c, s in zip(candidates, scores) if s <= limit]
+        # each score is the scaled depth cost after the SWAP minus the one
+        # before: only gates with one operand on a swapped qubit move (a gate
+        # on both keeps its distance)
+        scores = []
+        for x, y in candidates:
+            qx, qy = inv[x], inv[y]
+            dx, dy = dist[x], dist[y]
+            delta = 0
+            for other, w in touching.get(qx, ()):
+                if other != qy:
+                    p = fwd[other]
+                    delta += w * (dy[p] - dx[p])
+            for other, w in touching.get(qy, ()):
+                if other != qx:
+                    p = fwd[other]
+                    delta += w * (dx[p] - dy[p])
+            scores.append(delta)
+        # the tie: the exact best, plus SWAPs within the slack of it that
+        # still shorten the weighted distance
+        best = min(scores)
+        limit = min(best + slack, -1)
+        similar = [c for c, s in zip(candidates, scores) if s == best or s <= limit]
         if len(similar) == 1:
             chosen = similar[0]
         elif tie_break == "iccs" and (active := active_cidq_sets(front_nodes, dag, owners)):
@@ -325,6 +342,10 @@ def schedule(
             chosen = rng.choice(similar)
         decisions.append(SwapDecision(chosen, tuple(similar)))
         emit_swap(*chosen)
+        # only gates on the two swapped qubits changed distance, and none was
+        # ready before the SWAP
+        swapped = (inv[chosen[0]], inv[chosen[1]])
+        ready = sorted({node for q in swapped for node in blocked.get(q, ()) if adjacent(node)})
 
     routed = Circuit(device.m, circuit.n_clbits, tuple(out_ops))
     routed.validate()
@@ -334,7 +355,7 @@ def schedule(
         initial_mapping=mq0.copy(),
         final_mapping=mq,
         log=tuple(log),
-        swaps_inserted=swaps_inserted,
+        swaps_inserted=len(decisions),
         decisions=tuple(decisions),
     )
 

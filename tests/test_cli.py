@@ -12,6 +12,7 @@ from dynlayout import (
     run_pipeline,
     star_topology,
 )
+from dynlayout import cli, control
 from dynlayout.cli import main
 
 
@@ -318,6 +319,8 @@ class TestBadDocuments:
             ("--topology", topology_doc(controllers={"kind": "matrix", "hop": 5})),
             ("--topology", topology_doc(controllers={"kind": "matrix", "hop": [0, 1]})),
             ("--topology", topology_doc(controllers={"kind": "matrix", "hop": [[0, True]]})),
+            ("--topology", topology_doc(controllers={"kind": "matrix",
+                                                     "hop": [[0, 10**23], [10**23, 0]]})),
             ("--topology", topology_doc(assignment={"kind": "explicit", "map": 5})),
             ("--topology", topology_doc(assignment={"kind": "explicit"})),
             ("--topology", topology_doc(assignment={"kind": "explicit", "map": [0, 0.5, 1, 1]})),
@@ -330,6 +333,44 @@ class TestBadDocuments:
         assert main(["route", "--circuit", "dqft4", *setup, flag, str(doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestHopRange:
+    def test_largest_hop_transpiles(self, tmp_path):
+        doc = tmp_path / "topo.json"
+        doc.write_text(topology_doc(controllers={"kind": "matrix",
+                                                 "hop": [[0, 2**31 - 1], [2**31 - 1, 0]]}))
+        assert main(["transpile", "--circuit", "dqft4", "--topology", str(doc)]) == 0
+
+    def test_hop_above_limit_names_it(self, tmp_path, capsys):
+        doc = tmp_path / "topo.json"
+        doc.write_text(topology_doc(controllers={"kind": "matrix",
+                                                 "hop": [[0, 2**31], [2**31, 0]]}))
+        assert main(["transpile", "--circuit", "dqft4", "--topology", str(doc)]) == 2
+        assert "2**31 - 1" in capsys.readouterr().err
+
+
+class TestTooManyControllers:
+    """k > m is refused before any k x k hop matrix is built."""
+
+    @staticmethod
+    def forbid(monkeypatch, module):
+        def refuse(k):
+            raise AssertionError(f"star_topology({k}) built before the controller count check")
+
+        monkeypatch.setattr(module, "star_topology", refuse)
+
+    def test_shortcut(self, monkeypatch, capsys):
+        self.forbid(monkeypatch, cli)
+        assert main(["transpile", "--circuit", "dqft4", "--k", "150", "--device", "line:4"]) == 2
+        assert capsys.readouterr().err == "error: cannot split 4 qubits across 150 controllers\n"
+
+    def test_topology_document(self, monkeypatch, tmp_path, capsys):
+        self.forbid(monkeypatch, control)
+        doc = tmp_path / "topo.json"
+        doc.write_text(topology_doc(controllers={"kind": "star", "k": 150}))
+        assert main(["transpile", "--circuit", "dqft4", "--topology", str(doc)]) == 2
+        assert capsys.readouterr().err == "error: cannot split 4 qubits across 150 controllers\n"
 
 
 class TestSweepsFlag:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from dynlayout import (
     extract_cidq_sets,
     generate,
     grid_device,
+    heavy_hex_127_device,
     iccs_score,
     line_device,
     obtain_swaps,
@@ -29,6 +31,7 @@ from dynlayout import (
     star_topology,
     total_cost_L,
 )
+from dynlayout.pipeline import build_layout
 from dynlayout.scheduler import extended_set, target_owners
 from helpers import explicit_mapping
 
@@ -310,8 +313,9 @@ PROPERTY_DEVICES = {
 )
 def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, tie_break, mode):
     """Replaying the log, every non-forced decision's depth_argmin is exactly
-    the set of candidates whose depth_cost with the SWAP applied lies within
-    tie_epsilon of the minimum, and the ICCS tie-break picks a candidate
+    the set of candidates whose depth_cost with the SWAP applied is the
+    minimum, or lies within tie_epsilon of it and below the cost before the
+    SWAP; the pick is such a candidate, and the ICCS tie-break picks one
     whose iccs_score is the lowest of that set."""
     dev = PROPERTY_DEVICES[device_name]
     n = 2 + seed % (dev.m - 1)
@@ -338,6 +342,7 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, t
         decision = next(decisions)
         if not decision.forced:
             nodes = sorted(front)
+            before = depth_cost(nodes, dag, dev, mq)
             costs = {}
             for cand in obtain_swaps([c.ops[i] for i in nodes], mq, dev):
                 mq.swap_physical(*cand)
@@ -345,7 +350,10 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, t
                 assert costs[cand] == reference_depth_cost(nodes, dag, dev, mq)
                 mq.swap_physical(*cand)
             best = min(costs.values())
-            assert decision.depth_argmin == tuple(x for x in costs if costs[x] - best <= eps)
+            assert decision.depth_argmin == tuple(
+                x for x in costs if costs[x] == best or (costs[x] < before and costs[x] - best <= eps)
+            )
+            assert costs[decision.chosen] == best or costs[decision.chosen] < before
             if tie_break == "iccs" and len(decision.depth_argmin) > 1:
                 active = active_cidq_sets(nodes, dag, owners)
                 comm = {}
@@ -358,6 +366,68 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, eps, t
             checked += 1
         mq.swap_physical(*entry[1:])
     assert checked == sum(not d.forced for d in routed.decisions)
+
+
+def routing_digest(routed):
+    """Digest of everything a routing run decides: the decision records, the
+    execution log, the routed ops and the final mapping."""
+    ops = tuple(
+        (op.name, op.qubits, op.params, op.clbit,
+         None if op.condition is None else tuple(sorted(op.condition)))
+        for op in routed.circuit.ops
+    )
+    blob = repr((routed.decisions, routed.log, ops, tuple(routed.final_mapping.forward)))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+PIN_DEVICES = {"heavy_hex": heavy_hex_127_device, "line8": lambda: line_device(8),
+               "grid3x3": lambda: grid_device(3, 3)}
+# (device, k, family, n, blocks, mode, seed) -> digest; circuits use generator
+# seed 0, the layout comes from build_layout and routing runs at tie_epsilon 0
+PINNED_ROUTES = {
+    ("heavy_hex", 4, "pe", 20, None, "class", 0): "9e5cde765c7f601e",
+    ("heavy_hex", 4, "pe", 20, None, "class", 1): "775ae0690dc9b298",
+    ("heavy_hex", 4, "pe", 20, None, "baseline", 0): "0135ec8563dfa64c",
+    ("heavy_hex", 4, "pe", 20, None, "baseline", 1): "ce3ee18e2e8c578e",
+    ("heavy_hex", 4, "cc", 12, None, "class", 0): "132592afbfb88cac",
+    ("heavy_hex", 4, "cc", 12, None, "class", 1): "21327e5c251794c3",
+    ("heavy_hex", 4, "cc", 12, None, "baseline", 0): "0d5f4fbdd49d2624",
+    ("heavy_hex", 4, "cc", 12, None, "baseline", 1): "19fb654ac6a2a7cc",
+    ("heavy_hex", 4, "random", 20, 20, "class", 0): "e4bdcecf6143e8fd",
+    ("heavy_hex", 4, "random", 20, 20, "class", 1): "057190fd14445e8f",
+    ("heavy_hex", 4, "random", 20, 20, "baseline", 0): "347c7d8398bd3f15",
+    ("heavy_hex", 4, "random", 20, 20, "baseline", 1): "a9dde73921669cac",
+    ("heavy_hex", 4, "random", 48, 6, "class", 0): "35b828912eb11fd0",
+    ("heavy_hex", 4, "random", 48, 6, "class", 1): "5158ba42f07a2c1d",
+    ("heavy_hex", 4, "random", 48, 6, "baseline", 0): "195087e1908b00d0",
+    ("heavy_hex", 4, "random", 48, 6, "baseline", 1): "6488c6d45f7cc772",
+    ("line8", 2, "random", 8, 10, "class", 0): "299efedb6b061d1d",
+    ("line8", 2, "random", 8, 10, "baseline", 0): "45f4242b9422c9d2",
+    ("line8", 2, "random", 6, 12, "class", 3): "5556cf0154ab4e46",
+    ("line8", 2, "random", 6, 12, "baseline", 3): "f8782b99104ff501",
+    ("grid3x3", 2, "random", 8, 10, "class", 0): "44192e2fbad9936a",
+    ("grid3x3", 2, "random", 8, 10, "baseline", 0): "0fd4e1338461cdd1",
+    ("grid3x3", 2, "random", 6, 12, "class", 3): "0ac4c7f845a9535d",
+    ("grid3x3", 2, "random", 6, 12, "baseline", 3): "6dc05d85d38398c7",
+}
+
+
+def test_schedule_outputs_pinned():
+    """Routing decisions, logs, routed circuits and final mappings stay
+    exactly as pinned: a router speed-up must not change what it routes."""
+    devices = {name: build() for name, build in PIN_DEVICES.items()}
+    got = {}
+    for cell in PINNED_ROUTES:
+        name, k, fam, n, blocks, mode, seed = cell
+        dev = devices[name]
+        c = generate(fam, n, n_blocks=blocks, seed=0)
+        ld = extract_cidq_sets(c)
+        mc, topo = contiguous_assignment(dev.m, k), star_topology(k)
+        mq = build_layout(c, ld, mc, topo, dev, mode, seed)
+        routed = schedule(c, build_dag(c), mq, mc, topo, dev, ld=ld, seed=seed,
+                          tie_break="iccs" if mode == "class" else "random")
+        got[cell] = routing_digest(routed)
+    assert got == PINNED_ROUTES
 
 
 class TestAccumulate:
