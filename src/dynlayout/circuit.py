@@ -82,7 +82,8 @@ class Operation:
             if len(self.params) != want:
                 raise CircuitError(f"{self.name} takes {want} params, got {len(self.params)}")
             for p in self.params:
-                if not isinstance(p, numbers.Real) or not math.isfinite(p):
+                # the exact-type test spares the common float the ABC check
+                if not (type(p) is float or isinstance(p, numbers.Real)) or not math.isfinite(p):
                     raise CircuitError(f"{self.name} angle must be a finite real, got {p!r}")
             if self.clbit is not None:
                 raise CircuitError(f"{self.name} cannot write a clbit")
@@ -108,7 +109,14 @@ class Circuit:
 
     def validate(self) -> None:
         """Check per-op well-formedness plus dataflow: every condition bit must
-        have been written by an earlier measure."""
+        have been written by an earlier measure.
+
+        A circuit is immutable, so a pass is recorded on the instance and
+        later calls return at once; a failure records nothing and repeats on
+        every call.  The record is not a field: equality, hash and repr
+        ignore it."""
+        if "_valid" in self.__dict__:
+            return
         if self.n_qubits <= 0:
             raise CircuitError("circuit needs at least one qubit")
         if self.n_clbits < 0:
@@ -125,6 +133,7 @@ class Circuit:
                         )
             if op.is_measure:
                 written.add(op.clbit)
+        object.__setattr__(self, "_valid", True)
 
     def count_ops(self) -> int:
         """Number of operations, barriers excluded."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import sys
@@ -19,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .benchgen import GENERATORS, generate
-from .circuit import CircuitError
+from .circuit import CircuitError, build_dag
 from .cidq import COST_MODES, extract_cidq_sets, total_cost_L
 from .control import (
     ConfigError,
@@ -206,13 +207,28 @@ def _parse_int_list(text: str) -> list[int]:
         raise CliError(f"expected integers or a..b range, got {text!r}") from None
 
 
-def _sweep_cell(cell: dict, setup: tuple) -> dict:
+def _load_source(token: str, seed: int):
+    """(circuit, its DAG) of one sweep input, or the exception loading it raised."""
+    try:
+        circuit = _load_circuit(token, seed=seed)
+        return circuit, build_dag(circuit)
+    except Exception as exc:  # recorded in every cell of this input
+        return exc
+
+
+def _sweep_cell(cell: dict, setup: tuple, source=None) -> dict:
     """One (benchmark, k, seed) cell: paired class and baseline runs on the
-    resolved (topology, device, assignment) of its k."""
+    resolved (topology, device, assignment) of its k.  source is what
+    _load_source returned for the cell's input; None loads it here."""
     out = dict(cell)
     topo, device, mc = setup
+    if source is None:
+        source = _load_source(cell["benchmark"], cell["seed"])
     try:
-        circuit = _load_circuit(cell["benchmark"], seed=cell["seed"])
+        if isinstance(source, Exception):
+            raise source
+        circuit, dag = source
+        ld = extract_cidq_sets(circuit)
         out["n"] = circuit.n_qubits
         for mode in MODES:
             _, report = run_pipeline(
@@ -224,6 +240,8 @@ def _sweep_cell(cell: dict, setup: tuple) -> dict:
                 seed=cell["seed"],
                 cost_mode=cell["cost_mode"],
                 sweeps=cell["sweeps"],
+                dag=dag,
+                ld=ld,
             )
             prefix = "class" if mode == "class" else "baseline"
             out[f"{prefix}_iccs"] = report.iccs
@@ -283,7 +301,19 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_cell, cells, cell_setups))
     else:
-        results = [_sweep_cell(cell, setup) for cell, setup in zip(cells, cell_setups)]
+        # each input is loaded and its DAG built once: a file once per
+        # sweep, a generated token once per seed; only the inputs of the
+        # benchmark being swept are kept
+        results = []
+        by_bench = itertools.groupby(zip(cells, cell_setups), key=lambda cs: cs[0]["benchmark"])
+        for bench, group in by_bench:
+            generated = _BENCH_RE.match(bench) is not None
+            sources = {}  # seed (None for a file) -> what _load_source returned
+            for cell, setup in group:
+                key = cell["seed"] if generated else None
+                if key not in sources:
+                    sources[key] = _load_source(bench, cell["seed"])
+                results.append(_sweep_cell(cell, setup, sources[key]))
 
     rows = []
     for res in results:

@@ -114,6 +114,10 @@ class DeviceGraph:
             adj[b].add(a)
         self.edges: frozenset[tuple[int, int]] = frozenset(norm)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        # incident[p]: the edges touching p as sorted (low, high) pairs
+        self.incident: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((p, nb) if p < nb else (nb, p) for nb in nbs) for p, nbs in enumerate(self.adj)
+        )
         self.dist: list[list[int]] = [self._bfs(s) for s in range(m)]
         for s in range(m):
             if any(d < 0 for d in self.dist[s]):

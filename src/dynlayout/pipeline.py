@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circuit import Circuit, build_dag, depth
+from .circuit import Circuit, OpDag, build_dag, depth
 from .cidq import CidqList, extract_cidq_sets
 from .control import (
     ControllerTopology,
@@ -97,13 +97,24 @@ def run_pipeline(
     tie_epsilon: Fraction = Fraction(0),
     sweeps: int = 1,
     layout: LogicalPhysicalMap | None = None,
+    dag: OpDag | None = None,
+    ld: CidqList | None = None,
 ) -> tuple[RoutedCircuit, MetricsReport]:
-    """Place (unless a layout is supplied), route, and measure one circuit."""
+    """Place (unless a layout is supplied), route, and measure one circuit.
+
+    dag and ld, when given, must be the circuit's own DAG and dependency
+    sets (build_dag and extract_cidq_sets of this very circuit): a caller
+    compiling one circuit several times builds them once and passes them in.
+    """
     t0 = time.perf_counter()
-    ld = extract_cidq_sets(circuit)
+    if dag is not None and dag.circuit is not circuit:
+        raise ValueError("dag was built from another circuit")
+    if ld is None:
+        ld = extract_cidq_sets(circuit)
     if layout is None:
         layout = build_layout(circuit, ld, mc, topo, device, mode, seed, cost_mode, sweeps)
-    dag = build_dag(circuit)
+    if dag is None:
+        dag = build_dag(circuit)
     routed = schedule(
         circuit,
         dag,

@@ -15,6 +15,12 @@ weighted distance of the look-ahead gates on its two logical qubits, so
 "equally good" SWAPs tie exactly.  After a SWAP only the front gates on the
 two swapped qubits are tested again, since no other gate moved.
 
+The input circuit is validated at entry (a circuit the parser or benchgen
+already checked is not checked again), and the dag and dependency sets
+passed in must come from it.  Routing only maps ops through a layout into
+the device and adds SWAPs, so the routed circuit is not validated again:
+each SWAP is checked against the device's edges as it goes in.
+
 The tie holds the exact best candidates plus, with a tie_epsilon, those
 within it of the best that still lower the depth cost, so a wide tolerance
 never admits SWAPs that lead nowhere.  It is broken by the communication
@@ -80,14 +86,12 @@ def obtain_swaps(
 ) -> list[tuple[int, int]]:
     """Candidate SWAPs: every device edge touching the physical image of any
     qubit in the front layer's two-qubit gates, deduplicated and sorted."""
-    physical, adj = mq.physical, device.adj
+    physical, incident = mq.physical, device.incident
     edges = set()
     for op in front_ops:
         if op.is_two_qubit:
             for q in op.qubits:
-                p = physical(q)
-                for nb in adj[p]:
-                    edges.add((p, nb) if p < nb else (nb, p))
+                edges.update(incident[physical(q)])
     return sorted(edges)
 
 
@@ -207,6 +211,8 @@ def schedule(
 ) -> RoutedCircuit:
     """Route a circuit onto the device starting from a complete layout.
 
+    circuit is validated first; dag (and ld, when given) must be built from
+    this very circuit, and mq0 must place every logical qubit on the device.
     tie_break "iccs" scores depth-tied SWAPs by the communication cost of the
     active dependency sets; "random" (the baseline ablation) picks among the
     depth-tied SWAPs directly.  Both use the seeded generator, so a fixed
@@ -221,8 +227,13 @@ def schedule(
     if not 0 <= tie_epsilon < math.inf:
         raise ValueError(f"tie_epsilon must be finite and non-negative, got {tie_epsilon}")
     epsilon = Fraction(tie_epsilon)
+    if dag.circuit is not circuit:
+        raise ValueError("dag was built from another circuit")
+    circuit.validate()
     if not mq0.is_complete():
         raise ConfigError("routing needs a complete initial layout")
+    if mq0.m != device.m or min(mq0.forward, default=0) < 0:
+        raise ConfigError(f"initial layout must map into the device's {device.m} physical qubits")
     if ld is None:
         ld = extract_cidq_sets(circuit)
     owners = target_owners(ld)
@@ -247,6 +258,8 @@ def schedule(
 
     def emit_swap(pa: int, pb: int) -> None:
         nonlocal stagnant_swaps
+        if dist[pa][pb] != 1:
+            raise RuntimeError(f"router chose SWAP ({pa}, {pb}), which is not a device edge")
         out_ops.append(Operation("swap", (pa, pb)))
         log.append(("swap", pa, pb))
         mq.swap_physical(pa, pb)
@@ -282,7 +295,7 @@ def schedule(
                     blocked.setdefault(q, []).append(node)
             gates, scale = _lookahead(front_nodes, dag)
             # scores are integers, so s - best <= eps*scale iff s <= best + slack
-            slack = math.floor(epsilon * scale)
+            slack = epsilon.numerator * scale // epsilon.denominator
             # the look-ahead by logical qubit, which no SWAP changes; gates on
             # one pair are merged, so a candidate sums each pair once
             pair_weight: dict[tuple[int, int], int] = {}
@@ -347,10 +360,8 @@ def schedule(
         swapped = (inv[chosen[0]], inv[chosen[1]])
         ready = sorted({node for q in swapped for node in blocked.get(q, ()) if adjacent(node)})
 
-    routed = Circuit(device.m, circuit.n_clbits, tuple(out_ops))
-    routed.validate()
     return RoutedCircuit(
-        circuit=routed,
+        circuit=Circuit(device.m, circuit.n_clbits, tuple(out_ops)),
         source=circuit,
         initial_mapping=mq0.copy(),
         final_mapping=mq,

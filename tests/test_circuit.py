@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,19 @@ class TestOperationValidate:
     def test_angle_must_be_finite_real(self, angle):
         with pytest.raises(CircuitError, match="finite real"):
             op("u1", 0, params=(angle,)).validate(1, 0)
+
+    @pytest.mark.parametrize("angle, ok", [
+        (1, True), (True, True), (Fraction(1, 3), True), (np.float32(0.25), True),
+        (np.float64(0.25), True), (0.25, True), (math.nan, False), (math.inf, False),
+        ("1.0", False), (None, False),
+    ], ids=repr)
+    def test_angle_accept_reject_set(self, angle, ok):
+        u1 = op("u1", 0, params=(angle,))
+        if ok:
+            u1.validate(1, 0)
+        else:
+            with pytest.raises(CircuitError, match="finite real"):
+                u1.validate(1, 0)
 
     def test_duplicate_operands(self):
         with pytest.raises(CircuitError):
@@ -69,6 +84,17 @@ class TestCircuitValidate:
     def test_clbit_range(self):
         with pytest.raises(CircuitError):
             circuit(1, 1, op("measure", 0, clbit=5))
+
+    @pytest.mark.parametrize("ops", [
+        (op("u1", 0, params=(math.nan,)),),
+        (op("h", 0), op("x", 1, condition=frozenset({(0, 1)}))),
+    ], ids=["bad-angle", "condition-before-measure"])
+    def test_failure_repeats_on_every_call(self, ops):
+        # a failed check records nothing, so the circuit never passes later
+        c = Circuit(2, 1, ops)
+        for _ in range(3):
+            with pytest.raises(CircuitError):
+                c.validate()
 
     def test_static_circuit_not_dynamic(self):
         c = circuit(2, 0, op("h", 0), op("cx", 0, 1))

@@ -4,15 +4,18 @@ import json
 import pytest
 
 from dynlayout import (
+    build_dag,
     contiguous_assignment,
+    extract_cidq_sets,
     generate,
     heavy_hex_127_device,
     line_device,
     parse_circuit,
     run_pipeline,
+    serialize_circuit,
     star_topology,
 )
-from dynlayout import cli, control
+from dynlayout import cli, control, pipeline
 from dynlayout.cli import main
 
 
@@ -45,6 +48,25 @@ class TestRunPipeline:
         dev = line_device(4)
         with pytest.raises(ValueError):
             run_pipeline(c, contiguous_assignment(4, 2), star_topology(2), dev, mode="fast")
+
+    @pytest.mark.parametrize("mode", ["class", "baseline"])
+    def test_given_dag_and_sets_change_nothing(self, mode):
+        c = generate("random", 8, n_blocks=10, seed=2)
+        setup = (contiguous_assignment(8, 2), star_topology(2), line_device(8))
+        own, rep_own = run_pipeline(c, *setup, mode=mode, seed=3)
+        given, rep_given = run_pipeline(
+            c, *setup, mode=mode, seed=3, dag=build_dag(c), ld=extract_cidq_sets(c))
+        assert given.decisions == own.decisions and given.circuit == own.circuit
+        assert strip_runtime(rep_given.to_dict()) == strip_runtime(rep_own.to_dict())
+
+    @pytest.mark.parametrize(
+        "circuit, other", [(("pe", 20), ("cc", 12)), (("cc", 12), ("pe", 20))],
+        ids=["pe20-cc12", "cc12-pe20"])
+    def test_foreign_dag_rejected(self, circuit, other):
+        dev = heavy_hex_127_device()
+        c, foreign = generate(*circuit), build_dag(generate(*other))
+        with pytest.raises(ValueError, match="another circuit"):
+            run_pipeline(c, contiguous_assignment(dev.m, 4), star_topology(4), dev, dag=foreign)
 
     def test_report_schema(self):
         c = generate("dqft", 4)
@@ -241,6 +263,66 @@ class TestSweep:
             rows = list(csv.DictReader(path.open()))
             drop = ("class_runtime_ms", "baseline_runtime_ms")
             return [{k: v for k, v in r.items() if k not in drop} for r in rows]
+
+        assert stable(serial) == stable(parallel)
+
+    @pytest.fixture
+    def qasm_files(self, tmp_path):
+        paths = []
+        for family in ("cc", "dqft"):
+            path = tmp_path / f"{family}6.qasm"
+            path.write_text(serialize_circuit(generate(family, 6)))
+            paths.append(str(path))
+        return ",".join(paths)
+
+    def test_each_file_parsed_and_dag_built_once(self, qasm_files, tmp_path, monkeypatch):
+        calls = {"parse": 0, "dag": 0, "sets": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_circuit", counted("parse", cli.parse_circuit))
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "build_dag", counted("dag", module.build_dag))
+            monkeypatch.setattr(
+                module, "extract_cidq_sets", counted("sets", module.extract_cidq_sets))
+        assert main([
+            "sweep", "--benchmarks", qasm_files, "--k-values", "2,3", "--seeds", "0..2",
+            "--device", "line:6", "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert len(list(csv.DictReader((tmp_path / "s.csv").open()))) == 12
+        # one DAG per file, one extraction per cell for both of its compiles
+        assert calls == {"parse": 2, "dag": 2, "sets": 12}
+
+    def test_generated_token_built_once_per_seed(self, tmp_path, monkeypatch):
+        seeds = []
+        inner = cli.generate
+
+        def counted(*args, seed=0, **kwargs):
+            seeds.append(seed)
+            return inner(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "generate", counted)
+        assert main([
+            "sweep", "--benchmarks", "random6x4", "--k-values", "2,3", "--seeds", "0..2",
+            "--device", "line:6", "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert seeds == [0, 1, 2]
+
+    def test_shared_loads_match_parallel_jobs(self, qasm_files, tmp_path):
+        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+        args = ["sweep", "--benchmarks", qasm_files, "--k-values", "2,3", "--seeds", "0..2",
+                "--device", "line:6"]
+        assert main(args + ["--out", str(serial)]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        drop = ("class_runtime_ms", "baseline_runtime_ms")
+
+        def stable(path):
+            return [{k: v for k, v in r.items() if k not in drop}
+                    for r in csv.DictReader(path.open())]
 
         assert stable(serial) == stable(parallel)
 

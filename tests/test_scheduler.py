@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dynlayout import (
     Circuit,
+    CircuitError,
     CidqList,
     CidqSet,
     DeviceGraph,
@@ -252,6 +253,20 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             schedule(c, dag, mq, mc, star_topology(2), line_device(4))
 
+    @pytest.mark.parametrize("m, slots", [(5, [0, 4, 2]), (4, [0, -2, 1])],
+                             ids=["larger-device", "negative-index"])
+    def test_layout_off_the_device_rejected(self, m, slots):
+        # the routed circuit is not re-validated, so the layout is checked
+        from dynlayout import ConfigError
+
+        c = generate("dqft", 3)
+        mq = LogicalPhysicalMap(3, m)
+        for q, p in enumerate(slots):
+            mq.assign(q, p)
+        with pytest.raises(ConfigError, match="device"):
+            schedule(c, build_dag(c), mq, contiguous_assignment(4, 2), star_topology(2),
+                     line_device(4))
+
     def test_tie_epsilon_widens_candidate_set(self):
         dev = line_device(8)
         c = generate("random", 8, n_blocks=10, seed=5)
@@ -266,6 +281,23 @@ class TestSchedule:
         assert widest >= max(len(d.depth_argmin) for d in exact.decisions)
         # loose still routes correctly
         assert sorted(e[1] for e in loose.log if e[0] == "op") == list(range(len(c.ops)))
+
+    @pytest.mark.parametrize(
+        "circuit, other", [(("pe", 20), ("cc", 12)), (("cc", 12), ("pe", 20))],
+        ids=["pe20-cc12", "cc12-pe20"])
+    def test_foreign_dag_rejected(self, circuit, other):
+        dev = heavy_hex_127_device()
+        c, foreign = generate(*circuit), build_dag(generate(*other))
+        mq = random_layout(c.n_qubits, dev.m, seed=0)
+        with pytest.raises(ValueError, match="another circuit"):
+            schedule(c, foreign, mq, contiguous_assignment(dev.m, 4), star_topology(4), dev)
+
+    def test_unvalidated_bad_op_rejected(self):
+        # built by hand, so neither the parser nor benchgen has checked it
+        c = Circuit(2, 0, (Operation("u1", (0,), (float("nan"),)), Operation("cx", (0, 1))))
+        with pytest.raises(CircuitError, match="finite real"):
+            schedule(c, build_dag(c), identity_mapping(2, 2), contiguous_assignment(2, 2),
+                     star_topology(2), line_device(2))
 
     @pytest.mark.parametrize("eps", [Fraction(-1), -0.5, float("nan"), float("inf")])
     def test_bad_tie_epsilon_rejected(self, eps):
@@ -412,11 +444,11 @@ PINNED_ROUTES = {
 }
 
 
-def test_schedule_outputs_pinned():
-    """Routing decisions, logs, routed circuits and final mappings stay
-    exactly as pinned: a router speed-up must not change what it routes."""
+@pytest.fixture(scope="module")
+def pinned_routes():
+    """PINNED_ROUTES cell -> its RoutedCircuit."""
     devices = {name: build() for name, build in PIN_DEVICES.items()}
-    got = {}
+    routes = {}
     for cell in PINNED_ROUTES:
         name, k, fam, n, blocks, mode, seed = cell
         dev = devices[name]
@@ -424,10 +456,21 @@ def test_schedule_outputs_pinned():
         ld = extract_cidq_sets(c)
         mc, topo = contiguous_assignment(dev.m, k), star_topology(k)
         mq = build_layout(c, ld, mc, topo, dev, mode, seed)
-        routed = schedule(c, build_dag(c), mq, mc, topo, dev, ld=ld, seed=seed,
-                          tie_break="iccs" if mode == "class" else "random")
-        got[cell] = routing_digest(routed)
+        routes[cell] = schedule(c, build_dag(c), mq, mc, topo, dev, ld=ld, seed=seed,
+                                tie_break="iccs" if mode == "class" else "random")
+    return routes
+
+
+def test_schedule_outputs_pinned(pinned_routes):
+    """Routing decisions, logs, routed circuits and final mappings stay
+    exactly as pinned: a router speed-up must not change what it routes."""
+    got = {cell: routing_digest(routed) for cell, routed in pinned_routes.items()}
     assert got == PINNED_ROUTES
+
+
+def test_pinned_routes_are_valid_circuits(pinned_routes):
+    for routed in pinned_routes.values():
+        routed.circuit.validate()
 
 
 class TestAccumulate:
