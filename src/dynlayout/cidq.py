@@ -8,6 +8,8 @@ the hop distance between them is the number of communication steps paid.
 The total over all sets is the quantity the placement stage minimizes.
 `population_cost` is the one definition of a set's cost: placement, the
 router's tie-break, the post-routing replay and the oracle all evaluate it.
+`cost_lower_bound` is a total no placement can beat, from the controller
+capacities alone.
 """
 from __future__ import annotations
 
@@ -183,3 +185,38 @@ def total_cost_L(
 ) -> int:
     """Objective the placement stage minimizes: sum of per-set costs."""
     return int(set_costs(ld, controllers(mq, mc), topo, mode).sum())
+
+
+def cost_lower_bound(
+    ld: CidqList,
+    mc: QubitControllerMap,
+    topo: ControllerTopology,
+    mode: str = "pair",
+) -> int:
+    """A total cost no complete placement of ld on mc can go below.
+
+    Every delivery between two controllers costs at least h_min, the
+    smallest off-diagonal hop (0 when k = 1).  Per set S:
+
+    - pair mode: if S's sources sit on s controllers and its targets on t,
+      o of them shared, S pays for at least s*t - o >= s + t - o - 1
+      controller pairs, one fewer than the controllers it spans.  It spans at
+      least j(S), the fewest controllers whose largest capacities hold
+      |qubits(S)|, so it pays at least h_min * (j(S) - 1).
+    - per_target mode: S pays at least h_min * max(0, |qubits(S)| - largest
+      capacity).  Each qubit of S off a controller that holds both a source
+      and a target of S adds a delivery; with no such controller, every
+      source-target pair crosses.
+    """
+    if mode not in COST_MODES:
+        raise ValueError(f"cost mode must be one of {COST_MODES}, got {mode!r}")
+    k = topo.k
+    h_min = min((topo.hop[a][b] for a in range(k) for b in range(k) if a != b), default=0)
+    capacity = np.sort(np.bincount(mc.assignment, minlength=mc.k))[::-1]
+    sizes = np.array([len(d.qubits) for d in ld], dtype=np.int64)
+    if mode == "pair":
+        # j(S) - 1: the index of the first prefix of capacities that holds S
+        excess = np.searchsorted(np.cumsum(capacity), sizes)
+    else:
+        excess = np.maximum(0, sizes - capacity[0])
+    return h_min * int(excess.sum())

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .benchgen import GENERATORS, generate
 from .circuit import CircuitError, build_dag
-from .cidq import COST_MODES, extract_cidq_sets, total_cost_L
+from .cidq import COST_MODES, cost_lower_bound, extract_cidq_sets, total_cost_L
 from .control import (
     ConfigError,
     LogicalPhysicalMap,
@@ -109,12 +109,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _layout_doc(mq: LogicalPhysicalMap, cost: int) -> str:
+def _layout_doc(mq: LogicalPhysicalMap, cost: int, lower_bound: int) -> str:
+    """A layout with its cost and the certified lower bound on that cost; a
+    cost equal to the bound proves the placement optimal."""
     doc = {
         "schema_version": LAYOUT_SCHEMA_VERSION,
         "n_qubits": mq.n,
         "m_physical": mq.m,
         "cost": cost,
+        "lower_bound": lower_bound,
         "layout": list(mq.forward),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -153,7 +156,8 @@ def cmd_place(args) -> int:
         mc, ld, topo, device, mode=args.cost_mode, seed=args.seed, sweeps=args.sweeps
     )
     cost = total_cost_L(ld, mq, mc, topo, args.cost_mode)
-    _write_or_print(_layout_doc(mq, cost), args.emit_layout)
+    bound = cost_lower_bound(ld, mc, topo, args.cost_mode)
+    _write_or_print(_layout_doc(mq, cost, bound), args.emit_layout)
     return 0
 
 
@@ -189,7 +193,8 @@ def cmd_oracle(args) -> int:
     topo, device, mc = _load_setup(args)
     ld = extract_cidq_sets(circuit)
     optimum, mq = brute_force_placement(ld, mc, topo, args.cost_mode, n_qubits=circuit.n_qubits)
-    _write_or_print(_layout_doc(mq, optimum), args.out)
+    bound = cost_lower_bound(ld, mc, topo, args.cost_mode)
+    _write_or_print(_layout_doc(mq, optimum, bound), args.out)
     return 0
 
 

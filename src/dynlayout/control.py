@@ -280,6 +280,10 @@ class LogicalPhysicalMap:
         return len(self.inverse)
 
     def assign(self, q: int, p: int) -> None:
+        if not 0 <= q < len(self.forward):
+            raise ConfigError(f"logical qubit {q} outside 0..{len(self.forward) - 1}")
+        if not 0 <= p < len(self.inverse):
+            raise ConfigError(f"physical qubit {p} outside 0..{len(self.inverse) - 1}")
         if self.forward[q] != UNASSIGNED:
             raise ConfigError(f"logical qubit {q} already placed")
         if self.inverse[p] != UNASSIGNED:

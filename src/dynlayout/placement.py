@@ -8,6 +8,8 @@ into free slots of the other controllers and exchanges of a C_i qubit with an
 outside qubit, repeatedly apply the currently best-gain movement (locking
 touched qubits, negative gains allowed), then keep the prefix of applied
 movements with the best cumulative gain if that gain is positive.
+Refinement stops at the certified lower bound `cidq.cost_lower_bound`: a
+mapping that meets it cannot improve, so no further pass runs.
 
 Movement gains come from per-set controller populations, the input of the
 cost kernel `cidq.population_cost`.  A moving qubit shifts them by a vector
@@ -35,6 +37,7 @@ from .cidq import (
     FeedforwardHypergraph,
     build_hypergraph,
     controllers,
+    cost_lower_bound,
     population_cost,
     set_costs,
     total_cost_L,
@@ -415,20 +418,37 @@ def stage2_iterate(
     """Refinement: per sweep, run one movement pass per controller C_i against
     all the others, every pass starting from the same input mapping, and keep
     the cheapest result (ties: first encountered).  Extra sweeps restart from
-    the winner and stop early once no pass improves.  sweeps must be >= 1."""
+    the winner and stop early once no pass improves.  sweeps must be >= 1.
+
+    Refinement stops at the certified bound `cidq.cost_lower_bound`: no sweep
+    starts from a mapping that meets it, and a sweep runs no further pass once
+    a candidate meets it.  Only a strictly lower cost is accepted, so neither
+    stop changes the result."""
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    bound = cost_lower_bound(ld, mc, topo, mode)
+
+    def cost_of(mapping: LogicalPhysicalMap) -> int:
+        cost = total_cost_L(ld, mapping, mc, topo, mode)
+        if cost < bound:
+            raise RuntimeError(f"cost {cost} is below its certified lower bound {bound}")
+        return cost
+
     current = mq.copy()
-    current_cost = total_cost_L(ld, current, mc, topo, mode)
+    current_cost = cost_of(current)
     for _ in range(sweeps):
+        if current_cost == bound:
+            break
         best, best_cost = None, current_cost
         for ci in range(mc.k):
             candidate, _ = run_pass(
                 current, ci, [c for c in range(mc.k) if c != ci], ld, mc, topo, mode
             )
-            cost = total_cost_L(ld, candidate, mc, topo, mode)
+            cost = cost_of(candidate)
             if cost < best_cost:
                 best, best_cost = candidate, cost
+                if cost == bound:
+                    break
         if best is None:
             break
         current, current_cost = best, best_cost

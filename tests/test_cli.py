@@ -116,6 +116,19 @@ class TestPlaceRoute:
         assert report["mode"] == "class"
         assert report["operations"] > 0
 
+    def test_place_meets_lower_bound(self, capsys):
+        # stage 1 already reaches the bound on dqft, which certifies it optimal
+        assert main(["place", "--circuit", "dqft40", "--k", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cost"] == doc["lower_bound"] == 14
+
+    def test_layout_without_lower_bound_accepted(self, tmp_path):
+        lay = tmp_path / "layout.json"
+        lay.write_text(json.dumps({"layout": [3, 2, 1, 0]}))
+        assert main([
+            "route", "--circuit", "dqft4", "--k", "2", "--device", "line:4", "--layout", str(lay),
+        ]) == 0
+
     def test_route_auto_layout(self, tmp_path):
         rep = tmp_path / "report.json"
         assert main([
@@ -198,6 +211,16 @@ class TestOracleCmd:
         assert main(["oracle", "--circuit", "dqft4", "--k", "2", "--device", "line:4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cost"] == 2
+
+    @pytest.mark.parametrize("circuit, k, m, mode", [
+        ("dqft4", 2, 4, "pair"), ("dqft6", 3, 6, "per_target"), ("cc6", 2, 6, "pair"),
+        ("random6x4", 3, 7, "per_target"),
+    ])
+    def test_cost_not_below_lower_bound(self, circuit, k, m, mode, capsys):
+        assert main(["oracle", "--circuit", circuit, "--k", str(k), "--device", f"line:{m}",
+                     "--cost-mode", mode]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cost"] >= doc["lower_bound"] >= 0
 
     def test_oversized_fails_cleanly(self, capsys):
         assert main(["oracle", "--circuit", "dqft30", "--k", "4"]) == 2

@@ -105,6 +105,16 @@ class TestLogicalPhysicalMap:
         assert mq.logical_at(3) == 0
         assert mq.is_complete()
 
+    @pytest.mark.parametrize("q, p", [(-1, 0), (2, 0), (0, -2), (0, 4)],
+                             ids=["logical-negative", "logical-past-end",
+                                  "physical-negative", "physical-past-end"])
+    def test_index_off_the_map_rejected(self, q, p):
+        # a negative index would otherwise alias an entry from the end
+        mq = LogicalPhysicalMap(2, 4)
+        with pytest.raises(ConfigError, match="outside"):
+            mq.assign(q, p)
+        assert mq.forward == [UNASSIGNED] * 2 and mq.inverse == [UNASSIGNED] * 4
+
     def test_double_booking_rejected(self):
         mq = LogicalPhysicalMap(2, 2)
         mq.assign(0, 1)

@@ -11,6 +11,7 @@ from dynlayout import (
     InvalidMovement,
     Movement,
     apply_movement,
+    brute_force_placement,
     build_hypergraph,
     contiguous_assignment,
     controller_of,
@@ -19,6 +20,7 @@ from dynlayout import (
     heavy_hex_127_device,
     initial_placement,
     line_device,
+    matrix_topology,
     movement_gain,
     random_layout,
     stage1_greedy,
@@ -27,8 +29,9 @@ from dynlayout import (
     total_cost_L,
 )
 from dynlayout import placement
+from dynlayout.cidq import cost_lower_bound
 from dynlayout.placement import run_pass
-from helpers import complete_random_mapping, random_cidq_list, uniform_setup
+from helpers import complete_random_mapping, random_cidq_list, random_metric_hops, uniform_setup
 
 
 def fig5_instance():
@@ -373,3 +376,104 @@ def test_initial_placement_layouts_pinned(key):
     mc = contiguous_assignment(127, k)
     mq = initial_placement(mc, ld, star_topology(k), heavy_hex_127_device(), mode=mode, seed=0)
     assert [mq.physical(q) for q in range(n)] == LAYOUT_PINS[key]
+
+
+def random_sets(rng: random.Random, n_qubits: int) -> CidqList:
+    """One to four dependency sets of one to three measured qubits each, whose
+    targets may include measured qubits."""
+    sets = []
+    for i in range(rng.randint(1, 4)):
+        measured = frozenset(rng.sample(range(n_qubits), rng.randint(1, min(3, n_qubits))))
+        targets = frozenset(rng.sample(range(n_qubits), rng.randint(1, n_qubits)))
+        sets.append(CidqSet(i, measured, targets))
+    ld = CidqList(tuple(sets), n_qubits)
+    ld.validate()
+    return ld
+
+
+class TestLowerBound:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_never_above_the_optimum(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(3, 7)
+        k = rng.randint(2, min(4, m))
+        n = rng.randint(2, min(m, 6))
+        topo = matrix_topology(random_metric_hops(rng, k))
+        mc = contiguous_assignment(m, k)
+        ld = random_sets(rng, n)
+        for mode in ("pair", "per_target"):
+            optimum, _ = brute_force_placement(ld, mc, topo, mode)
+            assert cost_lower_bound(ld, mc, topo, mode) <= optimum
+
+    def test_hand_counts(self):
+        # capacities 3, 3, 2 and h_min 2: a 5-qubit set needs two controllers,
+        # a 7-qubit set three; per_target pays for the qubits beyond 3
+        topo = matrix_topology([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
+        mc = contiguous_assignment(8, 3)
+        ld = CidqList((
+            CidqSet(0, frozenset({0}), frozenset({1, 2})),
+            CidqSet(1, frozenset({0, 1}), frozenset({1, 2, 3, 4})),
+            CidqSet(2, frozenset({6}), frozenset(range(7))),
+        ), 8)
+        assert cost_lower_bound(ld, mc, topo, "pair") == 2 * (0 + 1 + 2)
+        assert cost_lower_bound(ld, mc, topo, "per_target") == 2 * (0 + 2 + 4)
+        one = star_topology(1)
+        assert cost_lower_bound(ld, contiguous_assignment(8, 1), one, "pair") == 0
+
+    def test_unknown_mode_rejected(self):
+        topo, mc = uniform_setup(4, 2, 2)
+        with pytest.raises(ValueError):
+            cost_lower_bound(random_cidq_list(random.Random(0), 4, 2), mc, topo, "total")
+
+    def test_dqft_stage1_meets_the_bound(self):
+        # pair mode on heavy_hex_127 with 5 controllers: the benchmark's inputs
+        mc, topo = contiguous_assignment(127, 5), star_topology(5)
+        for n, expect in zip(range(20, 101, 10), (0, 4, 14, 24, 42, 62, 85, 115, 145)):
+            ld = extract_cidq_sets(generate("dqft", n))
+            seeded = stage1_greedy(mc, ld, build_hypergraph(ld, n))
+            assert cost_lower_bound(ld, mc, topo, "pair") == expect
+            assert total_cost_L(ld, seeded, mc, topo, "pair") == expect
+
+    def test_refinement_at_the_bound_runs_no_pass(self, monkeypatch):
+        ld = extract_cidq_sets(generate("dqft", 100))
+        mc, topo = contiguous_assignment(127, 5), star_topology(5)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return run_pass(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "run_pass", counted)
+        mq = initial_placement(mc, ld, topo, heavy_hex_127_device(), mode="pair", sweeps=3)
+        assert calls == []
+        assert total_cost_L(ld, mq, mc, topo, "pair") == cost_lower_bound(ld, mc, topo, "pair")
+
+    def test_cost_below_the_bound_raises(self, monkeypatch):
+        ld = extract_cidq_sets(generate("dqft", 20))
+        mc, topo = contiguous_assignment(127, 4), star_topology(4)
+        monkeypatch.setattr(placement, "cost_lower_bound", lambda *args: 10**6)
+        with pytest.raises(RuntimeError, match="lower bound"):
+            initial_placement(mc, ld, topo, heavy_hex_127_device())
+
+
+BOUND_STOP_INPUTS = [("dqft", n, None, 0, k) for n in range(20, 101, 10) for k in (4, 5)] + [
+    (family, n, blocks, seed, 4)
+    for family, n, blocks in (("pe", 20, None), ("cc", 26, None), ("random", 30, 30))
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("key", BOUND_STOP_INPUTS, ids=lambda key: "-".join(map(str, key)))
+def test_bound_stop_changes_no_layout(key, monkeypatch):
+    """Stopping refinement at the lower bound is exact: with a bound that is
+    never met, every pass runs and the layouts are the same."""
+    family, n, blocks, seed, k = key
+    ld = extract_cidq_sets(generate(family, n, blocks, seed=seed))
+    setup = (contiguous_assignment(127, k), ld, star_topology(k), heavy_hex_127_device())
+    for mode in ("pair", "per_target"):
+        stopped = initial_placement(*setup, mode=mode, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(placement, "cost_lower_bound", lambda *args: -1)
+            full = initial_placement(*setup, mode=mode, seed=seed)
+        assert stopped.forward == full.forward

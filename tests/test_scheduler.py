@@ -256,13 +256,15 @@ class TestSchedule:
     @pytest.mark.parametrize("m, slots", [(5, [0, 4, 2]), (4, [0, -2, 1])],
                              ids=["larger-device", "negative-index"])
     def test_layout_off_the_device_rejected(self, m, slots):
-        # the routed circuit is not re-validated, so the layout is checked
+        # the routed circuit is not re-validated, so the layout is checked;
+        # the map is written directly, since assign rejects an index off the map
         from dynlayout import ConfigError
 
         c = generate("dqft", 3)
         mq = LogicalPhysicalMap(3, m)
         for q, p in enumerate(slots):
-            mq.assign(q, p)
+            mq.forward[q] = p
+            mq.inverse[p] = q
         with pytest.raises(ConfigError, match="device"):
             schedule(c, build_dag(c), mq, contiguous_assignment(4, 2), star_topology(2),
                      line_device(4))
