@@ -16,7 +16,6 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from .benchgen import GENERATORS, generate
@@ -40,11 +39,18 @@ LAYOUT_SCHEMA_VERSION = 1
 
 _BENCH_RE = re.compile(r"^(dqft|ipe|pe|cc|random)(\d+)(?:x(\d+))?$")
 _DEVICE_RE = re.compile(r"^(?:heavy_hex_127|line:(?P<m>\d+)|grid:(?P<rows>\d+)x(?P<cols>\d+))$")
-_RATIONAL_RE = re.compile(r"^(?:\d+|\d*\.\d+)(?:/\d+)?$")
 
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error: ...` line (exit 2),
+    like every other CLI error, instead of a usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {' '.join(message.split())}\n")
 
 
 def _load_circuit(token: str, seed: int = 0):
@@ -90,16 +96,6 @@ def _load_setup(args):
     if args.k is None:
         raise CliError("either --topology or --k is required")
     return _shortcut_setup(_parse_device(args.device), args.controllers, args.k)
-
-
-def _parse_tie_epsilon(text: str) -> Fraction:
-    """--tie-epsilon: a non-negative rational written as 0, 3, 0.25 or 1/2."""
-    if _RATIONAL_RE.match(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            pass
-    raise CliError(f"--tie-epsilon takes a non-negative rational (0, 0.25, 1/2), got {text!r}")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -175,7 +171,6 @@ def cmd_route(args) -> int:
         mode=args.mode,
         seed=args.seed,
         cost_mode=args.cost_mode,
-        tie_epsilon=_parse_tie_epsilon(args.tie_epsilon),
         sweeps=args.sweeps,
         layout=layout,
     )
@@ -377,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     setup = [seed, cost, device, topology]  # one circuit on one resolved setup
 
-    parser = argparse.ArgumentParser(prog="dynlayout")
+    # subparsers are built with the same class, so their errors are one line too
+    parser = _Parser(prog="dynlayout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
@@ -401,14 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--layout", default="auto", help="layout JSON or 'auto'")
     p.add_argument("--mode", choices=MODES, default="class")
-    p.add_argument("--tie-epsilon", default="0", help="depth-score tolerance for SWAP ties")
     p.add_argument("--report", help="metrics JSON output (default stdout)")
     p.set_defaults(func=cmd_route)
 
     p = add("transpile", parents=[*setup, sweeps], help="place then route")
     p.add_argument("--circuit", required=True)
     p.add_argument("--mode", choices=MODES, default="class")
-    p.add_argument("--tie-epsilon", default="0")
     p.add_argument("--report", help="metrics JSON output (default stdout)")
     p.set_defaults(func=cmd_transpile)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .circuit import Circuit, OpDag, build_dag, depth
 from .cidq import CidqList, extract_cidq_sets
@@ -94,7 +93,6 @@ def run_pipeline(
     mode: str = "class",
     seed: int = 0,
     cost_mode: str = "pair",
-    tie_epsilon: Fraction = Fraction(0),
     sweeps: int = 1,
     layout: LogicalPhysicalMap | None = None,
     dag: OpDag | None = None,
@@ -126,7 +124,6 @@ def run_pipeline(
         cost_mode=cost_mode,
         seed=seed,
         tie_break="iccs" if mode == "class" else "random",
-        tie_epsilon=tie_epsilon,
     )
     iccs = accumulate_iccs(routed, ld, mc, topo, cost_mode)
     runtime_ms = (time.perf_counter() - t0) * 1e3
@@ -144,7 +141,6 @@ def run_pipeline(
             "m_physical": device.m,
             "k_controllers": mc.k,
             "sweeps": sweeps,
-            "tie_epsilon": str(tie_epsilon),
         },
     )
     return routed, report

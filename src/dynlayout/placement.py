@@ -275,7 +275,6 @@ def run_pass(
     mc: QubitControllerMap,
     topo: ControllerTopology,
     mode: str = "pair",
-    validate: bool = False,
 ) -> tuple[LogicalPhysicalMap, PassState]:
     """One qubit-moving pass between `controller` and the `others` subset.
 
@@ -337,11 +336,6 @@ def run_pass(
         state.applied.append(move)
         state.gains.append(move.gain)
         state.locked.update(move.moved_qubits())
-        if validate:
-            expect = total_cost_L(ld, work, mc, topo, mode)
-            got = int(engine.tables(ctl)[2].sum())
-            if got != expect:
-                raise AssertionError(f"incremental cost {got} != recomputed {expect}")
 
     # keep the best positive prefix of the applied movement sequence
     result = mq.copy()

@@ -21,17 +21,14 @@ passed in must come from it.  Routing only maps ops through a layout into
 the device and adds SWAPs, so the routed circuit is not validated again:
 each SWAP is checked against the device's edges as it goes in.
 
-The tie holds the exact best candidates plus, with a tie_epsilon, those
-within it of the best that still lower the depth cost, so a wide tolerance
-never admits SWAPs that lead nowhere.  It is broken by the communication
-cost of the dependency sets active near the front, evaluated under each
-tied SWAP, with a seeded-random pick among the remaining best.  A baseline
-variant replaces that tie-break with the seeded pick alone, leaving every
-other decision identical.
+The tie is the candidates with exactly the best score.  It is broken by
+the communication cost of the dependency sets active near the front,
+evaluated under each tied SWAP, with a seeded-random pick among the
+remaining best.  A baseline variant replaces that tie-break with the seeded
+pick alone, leaving every other decision identical.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,7 +204,6 @@ def schedule(
     cost_mode: str = "pair",
     seed: int = 0,
     tie_break: str = "iccs",
-    tie_epsilon: Fraction = Fraction(0),
 ) -> RoutedCircuit:
     """Route a circuit onto the device starting from a complete layout.
 
@@ -217,16 +213,9 @@ def schedule(
     active dependency sets; "random" (the baseline ablation) picks among the
     depth-tied SWAPs directly.  Both use the seeded generator, so a fixed
     (circuit, layout, seed, config) tuple reproduces the output exactly.
-    tie_epsilon (finite, >= 0) widens the tie: a candidate whose depth cost
-    is within it of the best joins the argmin set if the SWAP lowers the
-    depth cost.  The exact best always joins; at 0 the tie is the exact best
-    alone.
     """
     if tie_break not in ("iccs", "random"):
         raise ValueError(f"tie_break must be 'iccs' or 'random', got {tie_break!r}")
-    if not 0 <= tie_epsilon < math.inf:
-        raise ValueError(f"tie_epsilon must be finite and non-negative, got {tie_epsilon}")
-    epsilon = Fraction(tie_epsilon)
     if dag.circuit is not circuit:
         raise ValueError("dag was built from another circuit")
     circuit.validate()
@@ -293,9 +282,7 @@ def schedule(
             for node in front_nodes:
                 for q in ops[node].qubits:
                     blocked.setdefault(q, []).append(node)
-            gates, scale = _lookahead(front_nodes, dag)
-            # scores are integers, so s - best <= eps*scale iff s <= best + slack
-            slack = epsilon.numerator * scale // epsilon.denominator
+            gates, _ = _lookahead(front_nodes, dag)
             # the look-ahead by logical qubit, which no SWAP changes; gates on
             # one pair are merged, so a candidate sums each pair once
             pair_weight: dict[tuple[int, int], int] = {}
@@ -338,11 +325,9 @@ def schedule(
                     p = fwd[other]
                     delta += w * (dx[p] - dy[p])
             scores.append(delta)
-        # the tie: the exact best, plus SWAPs within the slack of it that
-        # still shorten the weighted distance
+        # the tie: every SWAP with exactly the best score
         best = min(scores)
-        limit = min(best + slack, -1)
-        similar = [c for c, s in zip(candidates, scores) if s == best or s <= limit]
+        similar = [c for c, s in zip(candidates, scores) if s == best]
         if len(similar) == 1:
             chosen = similar[0]
         elif tie_break == "iccs" and (active := active_cidq_sets(front_nodes, dag, owners)):

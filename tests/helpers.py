@@ -3,14 +3,9 @@ from __future__ import annotations
 
 import random
 
-from dynlayout import (
-    CidqList,
-    CidqSet,
-    LogicalPhysicalMap,
-    QubitControllerMap,
-    contiguous_assignment,
-    star_topology,
-)
+from dynlayout import LogicalPhysicalMap, contiguous_assignment, star_topology
+from dynlayout.cidq import CidqList, CidqSet
+from dynlayout.control import QubitControllerMap
 
 
 def random_cidq_list(rng: random.Random, n_qubits: int, n_sets: int) -> CidqList:

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlayout import (
-    CidqList,
-    CidqSet,
     build_hypergraph,
     contiguous_assignment,
     extract_cidq_sets,
@@ -15,7 +13,7 @@ from dynlayout import (
     star_topology,
     total_cost_L,
 )
-from dynlayout.cidq import controllers, set_costs
+from dynlayout.cidq import CidqList, CidqSet, controllers, set_costs
 from helpers import explicit_mapping, random_cidq_list, uniform_setup
 
 
@@ -42,7 +40,7 @@ class TestExtraction:
         assert len(ld) == 0
 
     def test_multi_bit_condition_joins_both_sets(self):
-        from dynlayout import Circuit, Operation
+        from dynlayout.circuit import Circuit, Operation
 
         ops = (
             Operation("measure", (0,), (), 0, None),
@@ -56,7 +54,7 @@ class TestExtraction:
         assert all(2 in d.targets for d in ld)
 
     def test_clbit_rebind_splits_sets(self):
-        from dynlayout import Circuit, Operation
+        from dynlayout.circuit import Circuit, Operation
 
         # c0 written twice; each conditional binds to the latest writer
         ops = (
@@ -158,7 +156,7 @@ def test_cost_invariant_under_controller_relabeling(seed):
     mq = explicit_mapping(rng.sample(range(k * cap), n), k * cap)
     perm = list(range(k))
     rng.shuffle(perm)
-    from dynlayout import QubitControllerMap
+    from dynlayout.control import QubitControllerMap
 
     mc2 = QubitControllerMap(k, tuple(perm[c] for c in mc.assignment))
     for mode in ("pair", "per_target"):

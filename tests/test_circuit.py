@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout import Circuit, CircuitError, Operation, build_dag, depth
+from dynlayout import CircuitError, build_dag
+from dynlayout.circuit import Circuit, Operation, depth
 
 
 def op(name, *qubits, params=(), clbit=None, condition=None):

@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlayout import (
     build_dag,
@@ -185,25 +189,31 @@ class TestTranspile:
 
 
 class TestTieEpsilon:
+    """The SWAP tie is the exact minimum: --tie-epsilon is gone, so any value
+    of it is refused, and reports no longer echo it."""
+
     @pytest.mark.parametrize("mode,text", [
         ("baseline", "-1"), ("class", "-1"), ("class", "1/0"), ("baseline", "1/0"),
         ("class", "abc"), ("class", "nan"),
     ])
     def test_bad_value_exits_2_with_one_line(self, capsys, mode, text):
-        assert main([
-            "transpile", "--circuit", "cc8", "--k", "2", "--device", "line:8",
-            "--mode", mode, f"--tie-epsilon={text}",
-        ]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "transpile", "--circuit", "cc8", "--k", "2", "--device", "line:8",
+                "--mode", mode, f"--tie-epsilon={text}",
+            ])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --tie-epsilon") and err.count("\n") == 1
+        assert err == f"error: dynlayout: unrecognized arguments: --tie-epsilon={text}\n"
 
-    def test_rational_value_accepted(self, tmp_path):
+    @pytest.mark.parametrize("command", ["route", "transpile"])
+    def test_report_config_has_no_tie_epsilon(self, tmp_path, command):
         rep = tmp_path / "r.json"
         assert main([
-            "transpile", "--circuit", "cc8", "--k", "2", "--device", "line:8",
-            "--tie-epsilon", "1/2", "--report", str(rep),
+            command, "--circuit", "cc8", "--k", "2", "--device", "line:8", "--report", str(rep),
         ]) == 0
-        assert json.loads(rep.read_text())["config"]["tie_epsilon"] == "1/2"
+        assert json.loads(rep.read_text())["config"] == {
+            "k_controllers": 2, "m_physical": 8, "n_qubits": 8, "sweeps": 1}
 
 
 class TestOracleCmd:
@@ -360,12 +370,15 @@ class TestFlagScope:
         ["transpile", "--circuit", "cc6", "--k", "2", "--device", "line:6", "--jobs", "2"],
         ["gen", "cc", "--n", "6", "--cost-mode", "pair"],
         ["oracle", "--circuit", "dqft4", "--k", "2", "--device", "line:4", "--sweeps", "2"],
+        ["route", "--circuit", "dqft4", "--k", "2", "--device", "line:4", "--tie-epsilon", "0"],
     ])
     def test_unread_flag_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("token, m", [("line:5", 5), ("grid:2x3", 6), ("heavy_hex_127", 127)])
     def test_device_tokens(self, token, m, capsys):
@@ -438,6 +451,92 @@ class TestBadDocuments:
         assert main(["route", "--circuit", "dqft4", *setup, flag, str(doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Arbitrary JSON.  Integers stay small, so no device a document describes
+# has more than 16 qubits (a line of at most 16, a grid of at most 4x4) and
+# no large distance table or hop matrix is built.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=10,
+)
+
+
+def slots(holder, key):
+    """(container, key) of holder[key] and of every value nested in it."""
+    yield holder, key
+    value = holder[key]
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from slots(value, k)
+    elif isinstance(value, list):
+        for i in range(len(value)):
+            yield from slots(value, i)
+
+
+@st.composite
+def corrupted(draw, valid):
+    """A document from valid with up to three values, at any depth (the
+    whole document included), replaced by arbitrary JSON or deleted."""
+    root = [draw(valid)]
+    for _ in range(draw(st.integers(0, 3))):
+        holder, key = draw(st.sampled_from(list(slots(root, 0))))
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(JSON_VALUES)
+    return root[0]
+
+
+UNIFORM_HOPS = st.tuples(st.integers(1, 5), st.integers(1, 3)).map(
+    lambda kd: [[0 if i == j else kd[1] for j in range(kd[0])] for i in range(kd[0])])
+TOPOLOGY_DOCS = corrupted(st.fixed_dictionaries(
+    {
+        "controllers": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["star", "star_via_router"]), "k": st.integers(1, 6)})
+        | st.fixed_dictionaries({"kind": st.just("matrix"), "hop": UNIFORM_HOPS}),
+        "device": st.fixed_dictionaries({"kind": st.just("line"), "m": st.integers(1, 16)})
+        | st.fixed_dictionaries(
+            {"kind": st.just("grid"), "rows": st.integers(1, 4), "cols": st.integers(1, 4)}),
+    },
+    optional={"assignment": st.just("contiguous") | st.fixed_dictionaries(
+        {"kind": st.just("explicit"), "map": st.lists(st.integers(0, 3), min_size=1, max_size=16)})},
+))
+LAYOUT_DOCS = corrupted(st.fixed_dictionaries(
+    {"layout": st.permutations(range(4))}, optional={"cost": st.integers(0, 3)}))
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "doc.json"
+
+
+class TestDocumentContract:
+    """Any JSON value given as --topology or --layout either compiles or
+    exits 2 with one line on stderr."""
+
+    @staticmethod
+    def check(argv, flag, doc, path):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([*argv, flag, str(path)])
+        err = err.getvalue()
+        assert (status, err) == (0, "") or (
+            status == 2 and err.startswith("error: ") and err.count("\n") == 1), (status, err)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=TOPOLOGY_DOCS)
+    def test_topology(self, doc, doc_path):
+        self.check(["transpile", "--circuit", "dqft4"], "--topology", doc, doc_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=LAYOUT_DOCS)
+    def test_layout(self, doc, doc_path):
+        argv = ["route", "--circuit", "dqft4", "--k", "2", "--device", "line:4"]
+        self.check(argv, "--layout", doc, doc_path)
 
 
 class TestHopRange:

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout.control import UNASSIGNED
 from dynlayout import (
     ConfigError,
-    ControllerTopology,
-    DeviceGraph,
     LogicalPhysicalMap,
-    QubitControllerMap,
     contiguous_assignment,
     controller_of,
-    grid_device,
     heavy_hex_127_device,
     line_device,
     load_topology,
@@ -22,6 +17,7 @@ from dynlayout import (
     star_topology,
     star_via_router_topology,
 )
+from dynlayout.control import UNASSIGNED, DeviceGraph, QubitControllerMap, grid_device
 
 
 class TestControllerTopology:

@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 
 from dynlayout import (
     COST_MODES,
-    Circuit,
     Movement,
-    Operation,
-    accumulate_iccs,
     apply_movement,
     build_dag,
     contiguous_assignment,
@@ -30,12 +27,13 @@ from dynlayout import (
     matrix_topology,
     movement_gain,
     run_pipeline,
-    schedule,
     total_cost_L,
 )
 from dynlayout.cidq import controllers, set_costs
+from dynlayout.circuit import Circuit, Operation
 from dynlayout.pipeline import MODES
 from dynlayout.placement import _NEG, _GainEngine, run_pass
+from dynlayout.scheduler import accumulate_iccs, schedule
 from helpers import (
     complete_random_mapping,
     random_cidq_list,

@@ -3,10 +3,7 @@ import random
 import pytest
 
 from dynlayout import (
-    CidqList,
-    CidqSet,
     InstanceTooLarge,
-    QubitControllerMap,
     brute_force_placement,
     contiguous_assignment,
     extract_cidq_sets,
@@ -14,6 +11,8 @@ from dynlayout import (
     star_topology,
     total_cost_L,
 )
+from dynlayout.cidq import CidqList, CidqSet
+from dynlayout.control import QubitControllerMap
 from helpers import random_cidq_list, uniform_setup
 
 

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout import (
-    Circuit,
-    CircuitError,
-    Operation,
-    ParseError,
-    generate,
-    parse_circuit,
-    serialize_circuit,
-)
+from dynlayout import CircuitError, ParseError, generate, parse_circuit, serialize_circuit
+from dynlayout.circuit import Circuit, Operation
 
 GOLDEN = """\
 OPENQASM 2.0;
