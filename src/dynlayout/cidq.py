@@ -121,7 +121,7 @@ class FeedforwardHypergraph:
 
     n_vertices: int
     hyperedges: tuple[frozenset[int], ...]
-    incidence: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    incidence: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def degree(self, q: int) -> int:
         return len(self.incidence[q])

@@ -87,11 +87,16 @@ class Operation:
                     raise CircuitError(f"{self.name} angle must be a finite real, got {p!r}")
             if self.clbit is not None:
                 raise CircuitError(f"{self.name} cannot write a clbit")
+        elif self.params:
+            raise CircuitError(f"{self.name} takes no params, got {self.params!r}")
         if self.clbit is not None and not 0 <= self.clbit < n_clbits:
             raise CircuitError(f"clbit index {self.clbit} out of range")
         if self.condition is not None:
             if not self.condition:
                 raise CircuitError("empty condition")
+            n_tests = len(self.condition)
+            if n_tests > 1 and len({bit for bit, _ in self.condition}) != n_tests:
+                raise CircuitError("repeated clbit in condition")
             for bit, val in self.condition:
                 if not 0 <= bit < n_clbits:
                     raise CircuitError(f"condition clbit {bit} out of range")

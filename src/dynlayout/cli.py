@@ -25,8 +25,10 @@ from .control import (
     ConfigError,
     LogicalPhysicalMap,
     contiguous_assignment,
+    grid_device,
+    heavy_hex_127_device,
+    line_device,
     load_topology,
-    make_device,
     star_topology,
     star_via_router_topology,
 )
@@ -67,15 +69,15 @@ def _load_circuit(token: str, seed: int = 0):
 
 
 def _parse_device(token: str):
-    """heavy_hex_127, line:M or grid:RxC, built by control.make_device."""
+    """heavy_hex_127, line:M or grid:RxC."""
     m = _DEVICE_RE.match(token)
     if m is None:
         raise CliError(f"unknown device {token!r} (use heavy_hex_127, line:M, or grid:RxC)")
     if m.group("m"):
-        return make_device("line", m=m.group("m"))
+        return line_device(int(m.group("m")))
     if m.group("rows"):
-        return make_device("grid", rows=m.group("rows"), cols=m.group("cols"))
-    return make_device("heavy_hex_127")
+        return grid_device(int(m.group("rows")), int(m.group("cols")))
+    return heavy_hex_127_device()
 
 
 def _shortcut_setup(device, controllers: str, k: int):
@@ -187,7 +189,7 @@ def cmd_oracle(args) -> int:
     circuit = _load_circuit(args.circuit, seed=args.seed)
     topo, device, mc = _load_setup(args)
     ld = extract_cidq_sets(circuit)
-    optimum, mq = brute_force_placement(ld, mc, topo, args.cost_mode, n_qubits=circuit.n_qubits)
+    optimum, mq = brute_force_placement(ld, mc, topo, args.cost_mode)
     bound = cost_lower_bound(ld, mc, topo, args.cost_mode)
     _write_or_print(_layout_doc(mq, optimum, bound), args.out)
     return 0
@@ -243,12 +245,11 @@ def _sweep_cell(cell: dict, setup: tuple, source=None) -> dict:
                 dag=dag,
                 ld=ld,
             )
-            prefix = "class" if mode == "class" else "baseline"
-            out[f"{prefix}_iccs"] = report.iccs
-            out[f"{prefix}_operations"] = report.operations
-            out[f"{prefix}_depth"] = report.depth
-            out[f"{prefix}_swaps"] = report.swaps_inserted
-            out[f"{prefix}_runtime_ms"] = round(report.runtime_ms, 3)
+            out[f"{mode}_iccs"] = report.iccs
+            out[f"{mode}_operations"] = report.operations
+            out[f"{mode}_depth"] = report.depth
+            out[f"{mode}_swaps"] = report.swaps_inserted
+            out[f"{mode}_runtime_ms"] = round(report.runtime_ms, 3)
         b, c = out["baseline_iccs"], out["class_iccs"]
         out["reduction_pct"] = round(100.0 * (b - c) / b, 2) if b else ""
         out["error"] = ""
@@ -282,6 +283,9 @@ def cmd_sweep(args) -> int:
     benchmarks = [b for b in args.benchmarks.split(",") if b]
     ks = _parse_int_list(args.k_values)
     seeds = _parse_int_list(args.seeds)
+    for flag, values in (("--benchmarks", benchmarks), ("--k-values", ks), ("--seeds", seeds)):
+        if not values:
+            raise CliError(f"{flag} lists no values, so the sweep has no cells")
     device = _parse_device(args.device)
     setups = {k: _shortcut_setup(device, args.controllers, k) for k in ks}
     cells = [

@@ -138,9 +138,6 @@ class DeviceGraph:
     def is_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def neighbors(self, p: int) -> tuple[int, ...]:
-        return self.adj[p]
-
     def shortest_path(self, a: int, b: int) -> list[int]:
         """One BFS shortest path from a to b (lowest-index tie-break)."""
         prev = {a: a}
@@ -196,21 +193,13 @@ def heavy_hex_127_device() -> DeviceGraph:
 
 
 def edge_list_device(path) -> DeviceGraph:
+    """The device whose edges a file lists, one "a b" pair per line; its
+    qubits are 0 up to the largest index named."""
     edges = _read_edge_list(Path(path).read_text().splitlines())
+    if not edges:
+        raise ConfigError(f"edge list {path} names no edges")
     m = max(max(a, b) for a, b in edges) + 1
     return DeviceGraph(m, edges)
-
-
-def make_device(kind: str, **kwargs) -> DeviceGraph:
-    if kind == "line":
-        return line_device(int(kwargs["m"]))
-    if kind == "grid":
-        return grid_device(int(kwargs["rows"]), int(kwargs["cols"]))
-    if kind == "heavy_hex_127":
-        return heavy_hex_127_device()
-    if kind == "edge_list":
-        return edge_list_device(kwargs["path"])
-    raise ConfigError(f"unknown device kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -229,9 +218,6 @@ class QubitControllerMap:
         for c, n in enumerate(counts):
             if n == 0:
                 raise ConfigError(f"controller {c} manages no qubits")
-
-    def controller(self, p: int) -> int:
-        return self.assignment[p]
 
     def capacity(self, c: int) -> int:
         return sum(1 for x in self.assignment if x == c)
@@ -413,13 +399,20 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
         raise ConfigError(f"unknown controllers kind {ckind!r}")
     dkind = dspec.get("kind")
     if dkind == "line":
-        _int_field(dspec, "device", "m")
+        device = line_device(_int_field(dspec, "device", "m"))
     elif dkind == "grid":
-        _int_field(dspec, "device", "rows")
-        _int_field(dspec, "device", "cols")
-    elif dkind == "edge_list" and not isinstance(dspec.get("path"), str):
-        raise ConfigError(f"topology device.path must be a string, got {dspec.get('path')!r}")
-    device = make_device(dkind, **{key: v for key, v in dspec.items() if key != "kind"})
+        device = grid_device(
+            _int_field(dspec, "device", "rows"), _int_field(dspec, "device", "cols")
+        )
+    elif dkind == "heavy_hex_127":
+        device = heavy_hex_127_device()
+    elif dkind == "edge_list":
+        path = dspec.get("path")
+        if not isinstance(path, str):
+            raise ConfigError(f"topology device.path must be a string, got {path!r}")
+        device = edge_list_device(path)
+    else:
+        raise ConfigError(f"unknown device kind {dkind!r}")
     # every controller needs a qubit: refuse before building a k x k hop matrix
     if k > device.m:
         raise ConfigError(f"cannot split {device.m} qubits across {k} controllers")

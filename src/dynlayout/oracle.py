@@ -34,7 +34,6 @@ def brute_force_placement(
     mc: QubitControllerMap,
     topo: ControllerTopology,
     mode: str = "pair",
-    n_qubits: int | None = None,
 ) -> tuple[int, LogicalPhysicalMap]:
     """Optimal (cost, mapping) by exhaustive enumeration.
 
@@ -43,7 +42,7 @@ def brute_force_placement(
     are interchangeable, so qubit 0 is pinned to controller 0 (relabeling any
     optimum moves it there without changing cost or feasibility).
     """
-    n = ld.n_qubits if n_qubits is None else n_qubits
+    n = ld.n_qubits
     k = topo.k
     if k**n > ENUMERATION_LIMIT:
         raise InstanceTooLarge(f"{k}^{n} assignments exceed {ENUMERATION_LIMIT}")

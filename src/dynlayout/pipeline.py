@@ -105,8 +105,6 @@ def run_pipeline(
     compiling one circuit several times builds them once and passes them in.
     """
     t0 = time.perf_counter()
-    if dag is not None and dag.circuit is not circuit:
-        raise ValueError("dag was built from another circuit")
     if ld is None:
         ld = extract_cidq_sets(circuit)
     if layout is None:

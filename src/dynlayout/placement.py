@@ -75,13 +75,10 @@ class Movement:
 
 @dataclass
 class PassState:
-    """Record of one qubit-moving pass (for inspection and tests)."""
+    """Record of one qubit-moving pass: the movements applied, in order, and
+    the prefix of them kept."""
 
-    controller: int
-    others: tuple[int, ...]
     applied: list[Movement] = field(default_factory=list)
-    gains: list[int] = field(default_factory=list)
-    locked: set[int] = field(default_factory=set)
     prefix_length: int = 0
     prefix_gain: int = 0
 
@@ -228,14 +225,13 @@ class _GainEngine:
         self,
         ctl: np.ndarray,
         ci: int,
-        allowed: np.ndarray,
         locked: np.ndarray,
         has_free: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gains of every movement out of ci, _NEG where the movement is not
-        available: rel[q, b] relocates unlocked q to a free slot of allowed
-        controller b; ex[qa, qb] exchanges unlocked qa with unlocked qb under
-        an allowed controller."""
+        available: rel[q, b] relocates unlocked q to a free slot of controller
+        b != ci; ex[qa, qb] exchanges unlocked qa with unlocked qb under
+        another controller."""
         scnt, tcnt, s_cur = self.tables(ctl)
         # x of type tx leaves ci for b; y of type ty leaves b for ci
         ds = self.TYPE_SRC[:, None, None] * self.shift[ci]
@@ -244,7 +240,7 @@ class _GainEngine:
         d_y = self._deltas(scnt, tcnt, s_cur, -ds, -dt)
         d_j = self._deltas(scnt, tcnt, s_cur, ds[:, None] - ds, dt[:, None] - dt)
         movable = (ctl == ci) & ~locked
-        partner = allowed[ctl] & ~locked
+        partner = (ctl != ci) & ~locked
         rows, cols = np.flatnonzero(movable), np.flatnonzero(partner)
         pa = np.flatnonzero(movable[self.pin_q])  # pins of rows, qubit by qubit
         pb = np.flatnonzero(partner[self.pin_q])  # pins of cols, qubit by qubit
@@ -260,7 +256,8 @@ class _GainEngine:
         w[col_of_pin, set_b] = (d_j - d_x[:, :, None] - d_y[:, None])[set_b, :, type_b, ctl_b]
         corr = self._per_qubit(rows, w[:, set_a, type_a])  # [j, i]
         rel = np.full((self.n, self.k), _NEG, dtype=np.int64)
-        dests = np.flatnonzero(allowed & has_free)
+        dests = np.flatnonzero(has_free)
+        dests = dests[dests != ci]
         rel[rows[:, None], dests] = -leave[dests].T
         ex = np.full((self.n, self.n), _NEG, dtype=np.int64)
         ex[rows[:, None], cols] = -(leave[ctl[cols]] + enter[:, None] + corr).T
@@ -270,29 +267,25 @@ class _GainEngine:
 def run_pass(
     mq: LogicalPhysicalMap,
     controller: int,
-    others,
     ld: CidqList,
     mc: QubitControllerMap,
     topo: ControllerTopology,
     mode: str = "pair",
 ) -> tuple[LogicalPhysicalMap, PassState]:
-    """One qubit-moving pass between `controller` and the `others` subset.
+    """One qubit-moving pass between `controller` and every other controller.
 
     Returns the improved mapping (the input mapping reapplied up to the best
     positive cumulative-gain prefix, else unchanged) plus the pass record.
     """
-    others = tuple(sorted(set(others) - {controller}))
-    state = PassState(controller=controller, others=others)
+    state = PassState()
     if not mq.is_complete():
         raise ConfigError("qubit moving pass needs a complete mapping")
-    if len(ld) == 0 or not others:
+    k = topo.k
+    if len(ld) == 0 or k == 1:
         return mq.copy(), state
 
-    k = topo.k
     engine = _GainEngine(ld, k, topo.hop, mode)
     n = engine.n
-    allowed = np.zeros(k, dtype=bool)
-    allowed[list(others)] = True
 
     work = mq.copy()
     ctl = controllers(work, mc)
@@ -305,7 +298,7 @@ def run_pass(
 
     while True:
         has_free = np.array([bool(free_heaps[b]) for b in range(k)])
-        rel_score, ex_score = engine.scores(ctl, controller, allowed, locked, has_free)
+        rel_score, ex_score = engine.scores(ctl, controller, locked, has_free)
         # argmax over flat arrays: ties resolve to relocations first, then to
         # the lexicographically smallest (qubit, destination) pair
         best_rel_flat = int(np.argmax(rel_score))
@@ -334,13 +327,11 @@ def run_pass(
             ctl[qa], ctl[qb] = ctl[qb], ctl[qa]
             locked[qa] = locked[qb] = True
         state.applied.append(move)
-        state.gains.append(move.gain)
-        state.locked.update(move.moved_qubits())
 
     # keep the best positive prefix of the applied movement sequence
     result = mq.copy()
-    if state.gains:
-        cumulative = np.cumsum(state.gains)
+    if state.applied:
+        cumulative = np.cumsum([move.gain for move in state.applied])
         best = int(cumulative.max())
         if best > 0:
             state.prefix_length = int(np.argmax(cumulative)) + 1
@@ -435,9 +426,7 @@ def stage2_iterate(
             break
         best, best_cost = None, current_cost
         for ci in range(mc.k):
-            candidate, _ = run_pass(
-                current, ci, [c for c in range(mc.k) if c != ci], ld, mc, topo, mode
-            )
+            candidate, _ = run_pass(current, ci, ld, mc, topo, mode)
             cost = cost_of(candidate)
             if cost < best_cost:
                 best, best_cost = candidate, cost

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import Circuit, OpDag, Operation
-from .cidq import CidqList, CidqSet, extract_cidq_sets, population_cost, set_costs
+from .cidq import CidqList, CidqSet, population_cost, set_costs
 from .control import (
     ConfigError,
     ControllerTopology,
@@ -200,15 +200,16 @@ def schedule(
     mc: QubitControllerMap,
     topo: ControllerTopology,
     device: DeviceGraph,
-    ld: CidqList | None = None,
+    ld: CidqList,
     cost_mode: str = "pair",
     seed: int = 0,
     tie_break: str = "iccs",
 ) -> RoutedCircuit:
     """Route a circuit onto the device starting from a complete layout.
 
-    circuit is validated first; dag (and ld, when given) must be built from
-    this very circuit, and mq0 must place every logical qubit on the device.
+    circuit is validated first; dag and ld must be built from this very
+    circuit (build_dag and extract_cidq_sets of it), and mq0 must place
+    every logical qubit on the device.
     tie_break "iccs" scores depth-tied SWAPs by the communication cost of the
     active dependency sets; "random" (the baseline ablation) picks among the
     depth-tied SWAPs directly.  Both use the seeded generator, so a fixed
@@ -223,8 +224,6 @@ def schedule(
         raise ConfigError("routing needs a complete initial layout")
     if mq0.m != device.m or min(mq0.forward, default=0) < 0:
         raise ConfigError(f"initial layout must map into the device's {device.m} physical qubits")
-    if ld is None:
-        ld = extract_cidq_sets(circuit)
     owners = target_owners(ld)
     rng = random.Random(seed)
     mq = mq0.copy()

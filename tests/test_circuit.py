@@ -56,6 +56,23 @@ class TestOperationValidate:
         with pytest.raises(CircuitError):
             op("x", 3).validate(3, 0)
 
+    @pytest.mark.parametrize("bad", [
+        op("reset", 0, params=(math.nan,)),
+        op("measure", 0, params=(1.0,), clbit=0),
+        op("barrier", 0, params=("x",)),
+    ], ids=["reset", "measure", "barrier"])
+    def test_non_gates_take_no_params(self, bad):
+        # serialize_circuit writes no params for these, so they would be lost
+        with pytest.raises(CircuitError, match="takes no params"):
+            bad.validate(1, 1)
+
+    def test_condition_repeating_a_clbit_rejected(self):
+        # serialize_circuit would write `if (c[0]==0 && c[0]==1)`, which the
+        # parser rejects
+        bad = op("x", 0, condition=frozenset({(0, 0), (0, 1)}))
+        with pytest.raises(CircuitError, match="repeated clbit"):
+            bad.validate(1, 1)
+
     def test_conditioned_measure_rejected(self):
         bad = op("measure", 0, clbit=0, condition=frozenset({(0, 1)}))
         with pytest.raises(CircuitError):

@@ -188,6 +188,36 @@ class TestTranspile:
         assert json.loads(rep.read_text())["config"]["k_controllers"] == 2
 
 
+SETUP_DEVICES = {
+    "line:8": {"kind": "line", "m": 8},
+    "grid:3x3": {"kind": "grid", "rows": 3, "cols": 3},
+    "heavy_hex_127": {"kind": "heavy_hex_127"},
+}
+
+
+class TestSetupPaths:
+    """The --k/--device/--controllers shortcuts and the --topology document
+    that says the same build one setup: the reports agree but runtime_ms."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("controllers", ["star", "star_via_router"])
+    @pytest.mark.parametrize("device", SETUP_DEVICES)
+    def test_shortcuts_match_document(self, device, controllers, k, tmp_path):
+        doc = tmp_path / "topo.json"
+        doc.write_text(json.dumps({
+            "controllers": {"kind": controllers, "k": k},
+            "device": SETUP_DEVICES[device],
+        }))
+        reports = []
+        for setup in (["--k", str(k), "--device", device, "--controllers", controllers],
+                      ["--topology", str(doc)]):
+            rep = tmp_path / f"report{len(reports)}.json"
+            assert main(["transpile", "--circuit", "random8x10", *setup,
+                         "--report", str(rep)]) == 0
+            reports.append(strip_runtime(json.loads(rep.read_text())))
+        assert reports[0] == reports[1]
+
+
 class TestTieEpsilon:
     """The SWAP tie is the exact minimum: --tie-epsilon is gone, so any value
     of it is refused, and reports no longer echo it."""
@@ -284,6 +314,15 @@ class TestSweep:
         assert main(["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "bogus"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown device") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--benchmarks", ","), ("--k-values", ","), ("--seeds", "")])
+    def test_empty_grid_exits_2_with_one_line(self, flag, value, capsys):
+        grid = {"--benchmarks": "cc6", "--k-values": "2", "--seeds": "0", flag: value}
+        argv = [part for item in grid.items() for part in item]
+        assert main(["sweep", *argv, "--device", "line:6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,7 @@ class TestDeviceGraph:
         dev = line_device(5)
         assert dev.dist[0][4] == 4
         assert dev.dist[2][2] == 0
-        assert dev.neighbors(2) == (1, 3)
+        assert dev.adj[2] == (1, 3)
 
     def test_grid_row_major(self):
         dev = grid_device(2, 3)
@@ -73,9 +74,9 @@ class TestDeviceGraph:
     def test_heavy_hex_shape(self):
         dev = heavy_hex_127_device()
         assert dev.m == 127
-        n_edges = sum(len(dev.neighbors(p)) for p in range(dev.m)) // 2
+        n_edges = sum(len(dev.adj[p]) for p in range(dev.m)) // 2
         assert n_edges == 144
-        assert max(len(dev.neighbors(p)) for p in range(dev.m)) == 3
+        assert max(len(dev.adj[p]) for p in range(dev.m)) == 3
 
 
 class TestAssignment:
@@ -83,8 +84,8 @@ class TestAssignment:
         mc = contiguous_assignment(127, 4)
         caps = [mc.capacity(c) for c in range(4)]
         assert caps == [32, 32, 32, 31]
-        assert mc.controller(0) == 0
-        assert mc.controller(126) == 3
+        assert mc.assignment[0] == 0
+        assert mc.assignment[126] == 3
         assert mc.qubits_of(1) == list(range(32, 64))
 
     def test_every_controller_nonempty(self):
@@ -182,8 +183,26 @@ class TestLoadTopology:
                 "assignment": {"kind": "explicit", "map": [0, 0, 1, 1]},
             }
         )
-        assert mc.controller(2) == 1
+        assert mc.assignment[2] == 1
         assert topo.hop[0][1] == 2
+
+    def test_edge_list_of_a_line_is_the_line(self, tmp_path):
+        path = tmp_path / "line.txt"
+        path.write_text("# a line of 6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
+        _, dev, _ = load_topology({
+            "controllers": {"kind": "star", "k": 2},
+            "device": {"kind": "edge_list", "path": str(path)},
+        })
+        line = line_device(6)
+        assert (dev.m, dev.edges, dev.adj, dev.dist) == (line.m, line.edges, line.adj, line.dist)
+
+    def test_edge_list_without_edges_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# no edges\n")
+        doc = {"controllers": {"kind": "star", "k": 2},
+               "device": {"kind": "edge_list", "path": str(path)}}
+        with pytest.raises(ConfigError, match=re.escape(f"edge list {path} names no edges")):
+            load_topology(doc)
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -61,7 +61,6 @@ def test_pass_scores_equal_brute_force_gains(mode, seed):
     topo, mc = metric_setup(rng, n, k)
     mq = complete_random_mapping(rng, n, mc)
     ci = rng.randrange(k)
-    others = rng.sample(range(k), rng.randint(1, k))
 
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -72,10 +71,10 @@ def test_pass_scores_equal_brute_force_gains(mode, seed):
             return calls[-1]
 
         mp.setattr(_GainEngine, "scores", record)
-        _, state = run_pass(mq, ci, others, ld, mc, topo, mode)
+        _, state = run_pass(mq, ci, ld, mc, topo, mode)
 
     # one scoring per applied movement, plus the one that finds the pool empty
-    assert len(calls) == (len(state.applied) + 1 if state.others else 0)
+    assert len(calls) == len(state.applied) + 1
     current, locked = mq, set()
     for step, (rel, ex) in enumerate(calls):
         ctl = [controller_of(current, mc, q) for q in range(n)]
@@ -83,13 +82,13 @@ def test_pass_scores_equal_brute_force_gains(mode, seed):
         for q in range(n):
             for b in range(k):
                 free = any(current.logical_at(p) < 0 for p in mc.qubits_of(b))
-                if q in movable and b in state.others and free:
+                if q in movable and b != ci and free:
                     move = Movement("relocate", q, ci, b)
                     assert rel[q, b] == movement_gain(move, current, ld, mc, topo, mode)
                 else:
                     assert rel[q, b] == _NEG
             for qb in range(n):
-                if q in movable and ctl[qb] in state.others and qb not in locked:
+                if q in movable and ctl[qb] != ci and qb not in locked:
                     move = Movement("exchange", q, ci, ctl[qb], partner=qb)
                     assert ex[q, qb] == movement_gain(move, current, ld, mc, topo, mode)
                 else:

@@ -20,7 +20,7 @@ class TestGolden:
     def test_fig4_optimum_two(self):
         ld = extract_cidq_sets(generate("dqft", 4))
         topo, mc = uniform_setup(4, 2, 2)
-        best, mq = brute_force_placement(ld, mc, topo, "pair", n_qubits=4)
+        best, mq = brute_force_placement(ld, mc, topo, "pair")
         assert best == 2
         assert total_cost_L(ld, mq, mc, topo, "pair") == 2
 
@@ -28,7 +28,7 @@ class TestGolden:
         ld = extract_cidq_sets(generate("dqft", 5))
         topo = star_topology(1)
         mc = contiguous_assignment(5, 1)
-        best, _ = brute_force_placement(ld, mc, topo, "pair", n_qubits=5)
+        best, _ = brute_force_placement(ld, mc, topo, "pair")
         assert best == 0
 
 
@@ -39,7 +39,7 @@ def test_result_is_reachable_minimum():
         n = rng.randint(2, 5)
         ld = random_cidq_list(rng, n, rng.randint(1, 4))
         topo, mc = uniform_setup(n, 2, n)
-        best, mq = brute_force_placement(ld, mc, topo, "pair", n_qubits=n)
+        best, mq = brute_force_placement(ld, mc, topo, "pair")
         assert total_cost_L(ld, mq, mc, topo, "pair") == best
         import itertools
 
@@ -81,8 +81,8 @@ def test_invariant_under_qubit_relabeling():
             ),
             n,
         )
-        a, _ = brute_force_placement(ld, mc, topo, "pair", n_qubits=n)
-        b, _ = brute_force_placement(relabeled, mc, topo, "pair", n_qubits=n)
+        a, _ = brute_force_placement(ld, mc, topo, "pair")
+        b, _ = brute_force_placement(relabeled, mc, topo, "pair")
         assert a == b
 
 
@@ -98,7 +98,7 @@ def test_symmetry_reduction_disabled_for_unequal_capacity():
     )
     mc = QubitControllerMap(2, (0, 0, 1))
     topo = star_topology(2)
-    best, mq = brute_force_placement(ld, mc, topo, "pair", n_qubits=3)
+    best, mq = brute_force_placement(ld, mc, topo, "pair")
     assert best == 1
 
 
@@ -107,4 +107,4 @@ def test_oversized_instance_rejected():
     ld = random_cidq_list(rng, 30, 5)
     topo, mc = uniform_setup(30, 3, 30)
     with pytest.raises(InstanceTooLarge):
-        brute_force_placement(ld, mc, topo, "pair", n_qubits=30)
+        brute_force_placement(ld, mc, topo, "pair")

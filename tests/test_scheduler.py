@@ -251,7 +251,7 @@ class TestSchedule:
         from dynlayout import ConfigError
 
         with pytest.raises(ConfigError):
-            schedule(c, dag, mq, mc, star_topology(2), line_device(4))
+            schedule(c, dag, mq, mc, star_topology(2), line_device(4), extract_cidq_sets(c))
 
     @pytest.mark.parametrize("m, slots", [(5, [0, 4, 2]), (4, [0, -2, 1])],
                              ids=["larger-device", "negative-index"])
@@ -267,7 +267,7 @@ class TestSchedule:
             mq.inverse[p] = q
         with pytest.raises(ConfigError, match="device"):
             schedule(c, build_dag(c), mq, contiguous_assignment(4, 2), star_topology(2),
-                     line_device(4))
+                     line_device(4), extract_cidq_sets(c))
 
     @pytest.mark.parametrize(
         "circuit, other", [(("pe", 20), ("cc", 12)), (("cc", 12), ("pe", 20))],
@@ -277,14 +277,15 @@ class TestSchedule:
         c, foreign = generate(*circuit), build_dag(generate(*other))
         mq = random_layout(c.n_qubits, dev.m, seed=0)
         with pytest.raises(ValueError, match="another circuit"):
-            schedule(c, foreign, mq, contiguous_assignment(dev.m, 4), star_topology(4), dev)
+            schedule(c, foreign, mq, contiguous_assignment(dev.m, 4), star_topology(4), dev,
+                     extract_cidq_sets(c))
 
     def test_unvalidated_bad_op_rejected(self):
         # built by hand, so neither the parser nor benchgen has checked it
         c = Circuit(2, 0, (Operation("u1", (0,), (float("nan"),)), Operation("cx", (0, 1))))
         with pytest.raises(CircuitError, match="finite real"):
             schedule(c, build_dag(c), identity_mapping(2, 2), contiguous_assignment(2, 2),
-                     star_topology(2), line_device(2))
+                     star_topology(2), line_device(2), extract_cidq_sets(c))
 
     @pytest.mark.parametrize("eps", [Fraction(-1), -0.5, float("nan"), float("inf")])
     def test_bad_tie_epsilon_rejected(self, eps):
@@ -294,7 +295,7 @@ class TestSchedule:
         mq0 = identity_mapping(4, 4)
         with pytest.raises(TypeError, match="tie_epsilon"):
             schedule(c, build_dag(c), mq0, contiguous_assignment(4, 2), star_topology(2),
-                     line_device(4), tie_epsilon=eps)
+                     line_device(4), extract_cidq_sets(c), tie_epsilon=eps)
 
 
 def reference_depth_cost(front, dag, device, mq):
