@@ -83,8 +83,11 @@ def extract_cidq_sets(circuit: Circuit) -> CidqList:
     A conditional op binds to the most recent earlier measure writing each of
     its condition bits, so re-measuring into the same clbit starts a fresh
     event.  Ops with multi-bit conditions contribute their qubits to every
-    involved event.  Measures nobody reads produce no set.
+    involved event.  Measures nobody reads produce no set.  The circuit is
+    validated first (at once if it already passed), so a malformed one
+    raises CircuitError.
     """
+    circuit.validate()
     writer: dict[int, int] = {}  # clbit -> op index of current measure
     measured_qubit: dict[int, int] = {}  # measure op index -> qubit
     targets: dict[int, set[int]] = {}  # measure op index -> target qubits

@@ -3,7 +3,8 @@
 Circuits are passed either as files in the text grammar or as benchmark
 tokens like ``dqft20``, ``pe20``, ``cc12``, ``random20`` (``random20x40``
 pins the block count).  Topology comes from a JSON document (see
-control.load_topology) or from the ``--k/--device/--controllers`` shortcuts.
+control.load_topology) or from the ``--k/--device/--controllers`` shortcuts,
+which stand for such a document.
 Every command is deterministic for a fixed argument vector; reports repeat
 byte-for-byte except the runtime fields.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import re
@@ -19,23 +21,13 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .benchgen import GENERATORS, generate
-from .circuit import CircuitError, build_dag
+from .circuit import build_dag
 from .cidq import COST_MODES, cost_lower_bound, extract_cidq_sets, total_cost_L
-from .control import (
-    ConfigError,
-    LogicalPhysicalMap,
-    contiguous_assignment,
-    grid_device,
-    heavy_hex_127_device,
-    line_device,
-    load_topology,
-    star_topology,
-    star_via_router_topology,
-)
-from .oracle import InstanceTooLarge, brute_force_placement
+from .control import LogicalPhysicalMap, load_topology
+from .oracle import brute_force_placement
 from .pipeline import MODES, run_pipeline
 from .placement import initial_placement
-from .qasm import ParseError, parse_circuit, serialize_circuit
+from .qasm import parse_circuit, serialize_circuit
 
 LAYOUT_SCHEMA_VERSION = 1
 
@@ -68,27 +60,20 @@ def _load_circuit(token: str, seed: int = 0):
     return parse_circuit(path.read_text())
 
 
-def _parse_device(token: str):
-    """heavy_hex_127, line:M or grid:RxC."""
-    m = _DEVICE_RE.match(token)
-    if m is None:
-        raise CliError(f"unknown device {token!r} (use heavy_hex_127, line:M, or grid:RxC)")
-    if m.group("m"):
-        return line_device(int(m.group("m")))
-    if m.group("rows"):
-        return grid_device(int(m.group("rows")), int(m.group("cols")))
-    return heavy_hex_127_device()
-
-
-def _shortcut_setup(device, controllers: str, k: int):
-    """(topology, device, assignment) for k controllers of the given kind,
+def _setup_doc(device: str, controllers: str, k: int) -> dict:
+    """The topology document that --device (heavy_hex_127, line:M or
+    grid:RxC), --controllers and --k stand for: k controllers of that kind,
     each owning a contiguous block of the device."""
-    if controllers not in ("star", "star_via_router"):
-        raise CliError(f"unknown controllers kind {controllers!r}")
-    # checks 1 <= k <= m before a k x k hop matrix is built
-    mc = contiguous_assignment(device.m, k)
-    topo = star_topology(k) if controllers == "star" else star_via_router_topology(k)
-    return topo, device, mc
+    m = _DEVICE_RE.match(device)
+    if m is None:
+        raise CliError(f"unknown device {device!r} (use heavy_hex_127, line:M, or grid:RxC)")
+    if m.group("m"):
+        dspec = {"kind": "line", "m": int(m.group("m"))}
+    elif m.group("rows"):
+        dspec = {"kind": "grid", "rows": int(m.group("rows")), "cols": int(m.group("cols"))}
+    else:
+        dspec = {"kind": "heavy_hex_127"}
+    return {"controllers": {"kind": controllers, "k": k}, "device": dspec}
 
 
 def _load_setup(args):
@@ -97,12 +82,12 @@ def _load_setup(args):
         return load_topology(args.topology)
     if args.k is None:
         raise CliError("either --topology or --k is required")
-    return _shortcut_setup(_parse_device(args.device), args.controllers, args.k)
+    return load_topology(_setup_doc(args.device, args.controllers, args.k))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out and out != "-":
-        Path(out).write_text(text)
+        Path(out).write_text(text, newline="")
     else:
         sys.stdout.write(text)
 
@@ -178,11 +163,6 @@ def cmd_route(args) -> int:
     )
     _write_or_print(report.to_json(), args.report)
     return 0
-
-
-def cmd_transpile(args) -> int:
-    args.layout = "auto"
-    return cmd_route(args)
 
 
 def cmd_oracle(args) -> int:
@@ -286,8 +266,7 @@ def cmd_sweep(args) -> int:
     for flag, values in (("--benchmarks", benchmarks), ("--k-values", ks), ("--seeds", seeds)):
         if not values:
             raise CliError(f"{flag} lists no values, so the sweep has no cells")
-    device = _parse_device(args.device)
-    setups = {k: _shortcut_setup(device, args.controllers, k) for k in ks}
+    setups = {k: load_topology(_setup_doc(args.device, args.controllers, k)) for k in ks}
     cells = [
         {
             "benchmark": bench,
@@ -319,19 +298,12 @@ def cmd_sweep(args) -> int:
                     sources[key] = _load_source(bench, cell["seed"])
                 results.append(_sweep_cell(cell, setup, sources[key]))
 
-    rows = []
-    for res in results:
-        rows.append({col: res.get(col, "") for col in _SWEEP_COLUMNS})
-    target = args.out
-    if target and target != "-":
-        with open(target, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=_SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = [{col: res.get(col, "") for col in _SWEEP_COLUMNS} for res in results]
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=_SWEEP_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_or_print(text.getvalue(), args.out)
 
     good = [r for r in rows if not r["error"]]
     failed = len(rows) - len(good)
@@ -408,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--mode", choices=MODES, default="class")
     p.add_argument("--report", help="metrics JSON output (default stdout)")
-    p.set_defaults(func=cmd_transpile)
+    p.set_defaults(func=cmd_route, layout="auto")
 
     p = add("sweep", parents=[cost, device, sweeps], help="benchmark x k x seed grid")
     p.add_argument("--benchmarks", required=True, help="comma-separated tokens or files")
@@ -435,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "sweeps", 1) < 1:
             raise CliError(f"--sweeps must be at least 1, got {args.sweeps}")
         return args.func(args)
-    except (CliError, ConfigError, CircuitError, ParseError, InstanceTooLarge, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

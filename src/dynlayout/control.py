@@ -10,6 +10,8 @@ from pathlib import Path
 
 UNASSIGNED = -1
 MAX_HOP = 2**31 - 1  # keeps every ICCS sum well inside int64
+# DeviceGraph keeps an m x m distance table of Python ints, which grows as m**2
+MAX_DEVICE_QUBITS = 4096
 
 
 class ConfigError(ValueError):
@@ -96,9 +98,12 @@ def matrix_topology(hop) -> ControllerTopology:
 
 class DeviceGraph:
     """Undirected connected coupling graph over m physical qubits, with
-    precomputed all-pairs shortest-path distances (BFS per node)."""
+    precomputed all-pairs shortest-path distances (BFS per node).  m may be
+    at most MAX_DEVICE_QUBITS; edges may be an iterator, read once."""
 
     def __init__(self, m: int, edges):
+        if m > MAX_DEVICE_QUBITS:
+            raise ConfigError(f"device has {m} qubits, more than the limit {MAX_DEVICE_QUBITS}")
         self.m = m
         norm = set()
         adj: list[set[int]] = [set() for _ in range(m)]
@@ -157,49 +162,65 @@ class DeviceGraph:
         return path
 
 
+# the builders pass their edges lazily, so DeviceGraph refuses an oversized
+# device before any list of m items exists
 def line_device(m: int) -> DeviceGraph:
-    return DeviceGraph(m, [(i, i + 1) for i in range(m - 1)])
+    return DeviceGraph(m, ((i, i + 1) for i in range(m - 1)))
 
 
-def grid_device(rows: int, cols: int) -> DeviceGraph:
-    edges = []
+def _grid_edges(rows: int, cols: int):
     for r in range(rows):
         for c in range(cols):
             n = r * cols + c
             if c + 1 < cols:
-                edges.append((n, n + 1))
+                yield n, n + 1
             if r + 1 < rows:
-                edges.append((n, n + cols))
-    return DeviceGraph(rows * cols, edges)
+                yield n, n + cols
 
 
-def _read_edge_list(lines) -> list[tuple[int, int]]:
+def grid_device(rows: int, cols: int) -> DeviceGraph:
+    return DeviceGraph(rows * cols, _grid_edges(rows, cols))
+
+
+def _read_edge_list(text: str, name) -> list[tuple[int, int]]:
+    """The (a, b) pairs of an edge-list text: one pair of distinct
+    non-negative qubit indices per line, "#" starting a comment.  Errors
+    name the file and line, as name:line."""
     edges = []
-    for raw in lines:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise ConfigError(f"bad edge line {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        parts = body.split()
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            raise ConfigError(f"{name}:{lineno}: expected two qubit indices 'a b', got {body!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:  # an index longer than int() converts
+            raise ConfigError(f"{name}:{lineno}: {exc}") from None
+        if a == b:
+            raise ConfigError(f"{name}:{lineno}: self-loop on qubit {a}")
+        edges.append((a, b))
     return edges
 
 
 def heavy_hex_127_device() -> DeviceGraph:
     """The 127-qubit heavy-hex lattice (degree <= 3) bundled as package data."""
     text = resources.files("dynlayout").joinpath("data/heavy_hex_127.txt").read_text()
-    return DeviceGraph(127, _read_edge_list(text.splitlines()))
+    return DeviceGraph(127, _read_edge_list(text, "heavy_hex_127.txt"))
 
 
 def edge_list_device(path) -> DeviceGraph:
     """The device whose edges a file lists, one "a b" pair per line; its
     qubits are 0 up to the largest index named."""
-    edges = _read_edge_list(Path(path).read_text().splitlines())
+    edges = _read_edge_list(Path(path).read_text(), path)
     if not edges:
         raise ConfigError(f"edge list {path} names no edges")
     m = max(max(a, b) for a, b in edges) + 1
-    return DeviceGraph(m, edges)
+    try:
+        return DeviceGraph(m, edges)
+    except ConfigError as exc:  # too many qubits, or not connected
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -358,7 +379,9 @@ def _int_list(value, what: str) -> list:
 
 
 def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControllerMap]:
-    """Load a (controllers, device, assignment) triple from a JSON document.
+    """Load a (controllers, device, assignment) triple from a JSON document:
+    the one place a setup is checked and built, the CLI's --k shortcuts
+    included (they are a document too).
 
     source may be a path or an already-parsed dict:
 
@@ -370,7 +393,8 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
     device.kind: line (m) | grid (rows, cols) | heavy_hex_127 | edge_list (path).
     assignment: "contiguous" or {"kind": "explicit", "map": [controller per node]}.
     Counts and sizes must be integers (not booleans), hop a list of integer
-    rows and path a string; anything else raises ConfigError.
+    rows and path a string, and a device may have at most MAX_DEVICE_QUBITS
+    qubits; anything else raises ConfigError.
     """
     if isinstance(source, dict):
         doc = source

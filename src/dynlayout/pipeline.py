@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .circuit import Circuit, OpDag, build_dag, depth
 from .cidq import CidqList, extract_cidq_sets
@@ -48,18 +48,7 @@ class MetricsReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "mode": self.mode,
-            "seed": self.seed,
-            "cost_mode": self.cost_mode,
-            "operations": self.operations,
-            "depth": self.depth,
-            "iccs": self.iccs,
-            "swaps_inserted": self.swaps_inserted,
-            "runtime_ms": self.runtime_ms,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

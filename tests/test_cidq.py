@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlayout import (
+    CircuitError,
     build_hypergraph,
     contiguous_assignment,
     extract_cidq_sets,
     generate,
+    line_device,
     matrix_topology,
+    run_pipeline,
     star_topology,
     total_cost_L,
 )
 from dynlayout.cidq import CidqList, CidqSet, controllers, set_costs
+from dynlayout.circuit import Circuit, Operation
 from helpers import explicit_mapping, random_cidq_list, uniform_setup
 
 
@@ -22,6 +26,17 @@ def dqft4_sets():
 
 
 class TestExtraction:
+    @pytest.mark.parametrize("entry", ["extract_cidq_sets", "run_pipeline"])
+    def test_unwritten_condition_bit_is_a_circuit_error(self, entry):
+        # hand-built, so never validated: no measure writes the bit x reads
+        circuit = Circuit(2, 1, (Operation("x", (1,), condition=frozenset({(0, 1)})),))
+        with pytest.raises(CircuitError, match="before any measure writes it"):
+            if entry == "extract_cidq_sets":
+                extract_cidq_sets(circuit)
+            else:
+                run_pipeline(circuit, contiguous_assignment(2, 1), star_topology(1),
+                             line_device(2))
+
     def test_dqft4_nested_sets(self):
         ld = dqft4_sets()
         assert len(ld) == 3

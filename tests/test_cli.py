@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,15 @@ class TestSetupPaths:
                          "--report", str(rep)]) == 0
             reports.append(strip_runtime(json.loads(rep.read_text())))
         assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_no_controllers_same_error_from_shortcut_and_document(k, tmp_path, capsys):
+    doc = tmp_path / "topo.json"
+    doc.write_text(topology_doc(controllers={"kind": "star", "k": k}))
+    for setup in (["--k", str(k), "--device", "line:4"], ["--topology", str(doc)]):
+        assert main(["transpile", "--circuit", "dqft4", *setup]) == 2
+        assert capsys.readouterr().err == "error: need at least one controller\n"
 
 
 class TestTieEpsilon:
@@ -492,6 +502,52 @@ class TestBadDocuments:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "-1 2", "2 2", "1 2.0",
+                                      pytest.param("1 " + "9" * 5000, id="5000-digit")])
+    def test_bad_edge_list_line_names_file_and_line(self, line, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n{line}\n")
+        doc = tmp_path / "doc.json"
+        doc.write_text(topology_doc(device={"kind": "edge_list", "path": str(edges)}))
+        assert main(["route", "--circuit", "dqft4", "--topology", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edges}:2: ") and err.count("\n") == 1
+
+
+class TestDeviceSizeLimit:
+    """A device over MAX_DEVICE_QUBITS is refused before any list of m items
+    (edges, adjacency, distance rows) is built."""
+
+    @pytest.mark.parametrize("setup", ["shortcut", "document", "edge_list"])
+    def test_exits_2_with_one_line_without_allocating(self, setup, tmp_path, monkeypatch, capsys):
+        if setup == "shortcut":
+            argv = ["--k", "2", "--device", "line:100000"]
+        else:
+            device = {"kind": "line", "m": 100000}
+            if setup == "edge_list":
+                edges = tmp_path / "edges.txt"
+                edges.write_text("0 1\n1 100000000\n")
+                device = {"kind": "edge_list", "path": str(edges)}
+            doc = tmp_path / "topo.json"
+            doc.write_text(topology_doc(device=device))
+            argv = ["--topology", str(doc)]
+
+        def no_bfs(self, source):
+            raise AssertionError("distance table started on an oversized device")
+
+        monkeypatch.setattr(control.DeviceGraph, "_bfs", no_bfs)
+        tracemalloc.start()
+        try:
+            status = main(["transpile", "--circuit", "dqft4", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4096" in err and err.count("\n") == 1, err
+        assert peak < 400_000, peak  # a list of 100000 items alone takes 0.8 MB
+
+
 # Arbitrary JSON.  Integers stay small, so no device a document describes
 # has more than 16 qubits (a line of at most 16, a grid of at most 4x4) and
 # no large distance table or hop matrix is built.
@@ -604,7 +660,7 @@ class TestTooManyControllers:
         monkeypatch.setattr(module, "star_topology", refuse)
 
     def test_shortcut(self, monkeypatch, capsys):
-        self.forbid(monkeypatch, cli)
+        self.forbid(monkeypatch, control)
         assert main(["transpile", "--circuit", "dqft4", "--k", "150", "--device", "line:4"]) == 2
         assert capsys.readouterr().err == "error: cannot split 4 qubits across 150 controllers\n"
 

@@ -18,7 +18,13 @@ from dynlayout import (
     star_topology,
     star_via_router_topology,
 )
-from dynlayout.control import UNASSIGNED, DeviceGraph, QubitControllerMap, grid_device
+from dynlayout.control import (
+    MAX_DEVICE_QUBITS,
+    UNASSIGNED,
+    DeviceGraph,
+    QubitControllerMap,
+    grid_device,
+)
 
 
 class TestControllerTopology:
@@ -203,6 +209,20 @@ class TestLoadTopology:
                "device": {"kind": "edge_list", "path": str(path)}}
         with pytest.raises(ConfigError, match=re.escape(f"edge list {path} names no edges")):
             load_topology(doc)
+
+    def test_disconnected_edge_list_names_the_file(self, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("0 1\n2 3\n")
+        doc = {"controllers": {"kind": "star", "k": 2},
+               "device": {"kind": "edge_list", "path": str(path)}}
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: device graph is not connected")):
+            load_topology(doc)
+
+    @pytest.mark.parametrize("device", [{"kind": "line", "m": MAX_DEVICE_QUBITS + 1},
+                                        {"kind": "grid", "rows": 64, "cols": 65}])
+    def test_one_qubit_over_the_device_limit_refused(self, device):
+        with pytest.raises(ConfigError, match=f"more than the limit {MAX_DEVICE_QUBITS}"):
+            load_topology({"controllers": {"kind": "star", "k": 2}, "device": device})
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigError):
