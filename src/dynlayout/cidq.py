@@ -85,8 +85,13 @@ def extract_cidq_sets(circuit: Circuit) -> CidqList:
     event.  Ops with multi-bit conditions contribute their qubits to every
     involved event.  Measures nobody reads produce no set.  The circuit is
     validated first (at once if it already passed), so a malformed one
-    raises CircuitError.
+    raises CircuitError.  The sets are extracted on the first call and
+    recorded on the circuit, like its DAG.
     """
+    return circuit.derived("_cidq", _extract)
+
+
+def _extract(circuit: Circuit) -> CidqList:
     circuit.validate()
     writer: dict[int, int] = {}  # clbit -> op index of current measure
     measured_qubit: dict[int, int] = {}  # measure op index -> qubit

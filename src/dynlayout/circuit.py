@@ -106,7 +106,10 @@ class Operation:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered operation list over n_qubits qubits and n_clbits classical bits."""
+    """An ordered operation list over n_qubits qubits and n_clbits classical bits.
+
+    A circuit is immutable, so what is worked out from it alone is recorded on
+    it (validate, derived); equality, hash and repr ignore the records."""
 
     n_qubits: int
     n_clbits: int
@@ -116,10 +119,8 @@ class Circuit:
         """Check per-op well-formedness plus dataflow: every condition bit must
         have been written by an earlier measure.
 
-        A circuit is immutable, so a pass is recorded on the instance and
-        later calls return at once; a failure records nothing and repeats on
-        every call.  The record is not a field: equality, hash and repr
-        ignore it."""
+        A pass is recorded, so later calls return at once; a failure records
+        nothing and repeats on every call."""
         if "_valid" in self.__dict__:
             return
         if self.n_qubits <= 0:
@@ -140,6 +141,14 @@ class Circuit:
                 written.add(op.clbit)
         object.__setattr__(self, "_valid", True)
 
+    def derived(self, name: str, build):
+        """build(self), run on the first call for name and recorded for later calls."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, name, value)
+        return value
+
     def count_ops(self) -> int:
         """Number of operations, barriers excluded."""
         return sum(1 for op in self.ops if not op.is_barrier)
@@ -158,11 +167,12 @@ class OpDag:
     Edges order (a) ops sharing a qubit, (b) a measure and every conditional
     op reading the bit it wrote (read-after-write), and (c) clbit anti/output
     dependencies so re-measuring a bit never drifts past earlier readers.
+    It is shared through its circuit, so its tables are tuples, and it keeps
+    the circuit's ops, not the circuit, so the record makes no reference cycle.
     """
 
     def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        ops = circuit.ops
+        ops = self.ops = circuit.ops
         preds: list[tuple[int, ...]] = []
         last_on_qubit: dict[int, int] = {}
         writer: dict[int, int] = {}
@@ -196,10 +206,10 @@ class OpDag:
             for j in pred:
                 succ[j].append(i)
         self.n_nodes = len(ops)
-        self.succ: list[tuple[int, ...]] = [tuple(s) for s in succ]
-        self.pred: list[tuple[int, ...]] = preds
+        self.succ: tuple[tuple[int, ...], ...] = tuple(tuple(s) for s in succ)
+        self.pred: tuple[tuple[int, ...], ...] = tuple(preds)
         # read by the router on every visit, so computed once here
-        self.two_qubit: list[bool] = [op.name in TWO_QUBIT_GATES for op in ops]
+        self.two_qubit: tuple[bool, ...] = tuple(op.name in TWO_QUBIT_GATES for op in ops)
 
     def front_layer(self) -> list[int]:
         """Op indices with no predecessors, ascending."""
@@ -207,7 +217,8 @@ class OpDag:
 
 
 def build_dag(circuit: Circuit) -> OpDag:
-    return OpDag(circuit)
+    """The circuit's DAG: built on the first call, recorded on the circuit."""
+    return circuit.derived("_dag", OpDag)
 
 
 def depth(circuit: Circuit) -> int:

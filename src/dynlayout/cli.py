@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import re
 import sys
@@ -21,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .benchgen import GENERATORS, generate
-from .circuit import build_dag
 from .cidq import COST_MODES, cost_lower_bound, extract_cidq_sets, total_cost_L
 from .control import LogicalPhysicalMap, load_topology
 from .oracle import brute_force_placement
@@ -189,42 +187,38 @@ def _parse_int_list(text: str) -> list[int]:
         raise CliError(f"expected integers or a..b range, got {text!r}") from None
 
 
-def _load_source(token: str, seed: int):
-    """(circuit, its DAG) of one sweep input, or the exception loading it raised."""
-    try:
-        circuit = _load_circuit(token, seed=seed)
-        return circuit, build_dag(circuit)
-    except Exception as exc:  # recorded in every cell of this input
-        return exc
+def _sweep_sources(cells: list[dict]):
+    """The circuit of each cell's input, in cell order, or the error text
+    loading it raised.  A file loads once per sweep and a generated token
+    once per seed; only the inputs of the benchmark being swept are kept.
+    An error goes as text, since not every exception survives pickling."""
+    bench, loaded = None, {}  # seed (None for a file) -> circuit or error text
+    for cell in cells:
+        if cell["benchmark"] != bench:
+            bench, loaded = cell["benchmark"], {}
+        key = cell["seed"] if _BENCH_RE.match(bench) else None
+        if key not in loaded:
+            try:
+                loaded[key] = _load_circuit(bench, seed=cell["seed"])
+            except Exception as exc:  # recorded in every cell of this input
+                loaded[key] = f"{type(exc).__name__}: {exc}"
+        yield loaded[key]
 
 
-def _sweep_cell(cell: dict, setup: tuple, source=None) -> dict:
-    """One (benchmark, k, seed) cell: paired class and baseline runs on the
-    resolved (topology, device, assignment) of its k.  source is what
-    _load_source returned for the cell's input; None loads it here."""
+def _sweep_cell(cell: dict, setup: tuple, source) -> dict:
+    """One (benchmark, k, seed) cell: paired class and baseline runs of
+    source, the cell's circuit or the error text loading it raised, on the
+    resolved (topology, device, assignment) of its k."""
     out = dict(cell)
+    if isinstance(source, str):
+        out["error"] = source
+        return out
     topo, device, mc = setup
-    if source is None:
-        source = _load_source(cell["benchmark"], cell["seed"])
+    out["n"] = source.n_qubits
     try:
-        if isinstance(source, Exception):
-            raise source
-        circuit, dag = source
-        ld = extract_cidq_sets(circuit)
-        out["n"] = circuit.n_qubits
         for mode in MODES:
-            _, report = run_pipeline(
-                circuit,
-                mc,
-                topo,
-                device,
-                mode=mode,
-                seed=cell["seed"],
-                cost_mode=cell["cost_mode"],
-                sweeps=cell["sweeps"],
-                dag=dag,
-                ld=ld,
-            )
+            _, report = run_pipeline(source, mc, topo, device, mode=mode, seed=cell["seed"],
+                                     cost_mode=cell["cost_mode"], sweeps=cell["sweeps"])
             out[f"{mode}_iccs"] = report.iccs
             out[f"{mode}_operations"] = report.operations
             out[f"{mode}_depth"] = report.depth
@@ -279,24 +273,12 @@ def cmd_sweep(args) -> int:
         for k in ks
         for seed in seeds
     ]
-    cell_setups = [setups[cell["k"]] for cell in cells]
+    inputs = (cells, [setups[cell["k"]] for cell in cells], _sweep_sources(cells))
     if args.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, cells, cell_setups))
+            results = list(pool.map(_sweep_cell, *inputs))
     else:
-        # each input is loaded and its DAG built once: a file once per
-        # sweep, a generated token once per seed; only the inputs of the
-        # benchmark being swept are kept
-        results = []
-        by_bench = itertools.groupby(zip(cells, cell_setups), key=lambda cs: cs[0]["benchmark"])
-        for bench, group in by_bench:
-            generated = _BENCH_RE.match(bench) is not None
-            sources = {}  # seed (None for a file) -> what _load_source returned
-            for cell, setup in group:
-                key = cell["seed"] if generated else None
-                if key not in sources:
-                    sources[key] = _load_source(bench, cell["seed"])
-                results.append(_sweep_cell(cell, setup, sources[key]))
+        results = list(map(_sweep_cell, *inputs))
 
     rows = [{col: res.get(col, "") for col in _SWEEP_COLUMNS} for res in results]
     text = io.StringIO()
@@ -403,9 +385,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # Baseline mode, a given --layout and sweep cells never reach the
-        # placement that rejects it, so the flag is checked here.
+        # placement that rejects --sweeps < 1; --jobs < 1 would run serially.
         if getattr(args, "sweeps", 1) < 1:
             raise CliError(f"--sweeps must be at least 1, got {args.sweeps}")
+        if getattr(args, "jobs", 1) < 1:
+            raise CliError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)

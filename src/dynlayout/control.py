@@ -55,6 +55,10 @@ class ControllerTopology:
                     raise ConfigError(
                         f"hop[{i}][{j}] = {self.hop[i][j]} exceeds the limit 2**31 - 1"
                     )
+        if self.is_uniform():
+            # one off-diagonal hop h >= 1 for every pair: a relay costs 2h >= h,
+            # so the O(k**3) closure below could find nothing
+            return
         closure = [list(row) for row in self.hop]
         for l in range(k):
             for i in range(k):
@@ -371,6 +375,14 @@ def _int_field(spec: dict, section: str, key: str) -> int:
     return spec[key]
 
 
+def _size_field(spec: dict, section: str, key: str) -> int:
+    """spec[key], which must be a positive integer: a device dimension."""
+    value = _int_field(spec, section, key)
+    if value < 1:
+        raise ConfigError(f"topology {section}.{key} must be a positive integer, got {value}")
+    return value
+
+
 def _int_list(value, what: str) -> list:
     """value, which must be a list of (non-bool) integers."""
     if not (isinstance(value, list) and all(_is_int(x) for x in value)):
@@ -392,9 +404,9 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
     controllers.kind: star | star_via_router | matrix (with "hop").
     device.kind: line (m) | grid (rows, cols) | heavy_hex_127 | edge_list (path).
     assignment: "contiguous" or {"kind": "explicit", "map": [controller per node]}.
-    Counts and sizes must be integers (not booleans), hop a list of integer
-    rows and path a string, and a device may have at most MAX_DEVICE_QUBITS
-    qubits; anything else raises ConfigError.
+    Counts and sizes must be integers (not booleans), device sizes at least
+    1, hop a list of integer rows and path a string, and a device may have at
+    most MAX_DEVICE_QUBITS qubits; anything else raises ConfigError.
     """
     if isinstance(source, dict):
         doc = source
@@ -423,10 +435,10 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
         raise ConfigError(f"unknown controllers kind {ckind!r}")
     dkind = dspec.get("kind")
     if dkind == "line":
-        device = line_device(_int_field(dspec, "device", "m"))
+        device = line_device(_size_field(dspec, "device", "m"))
     elif dkind == "grid":
         device = grid_device(
-            _int_field(dspec, "device", "rows"), _int_field(dspec, "device", "cols")
+            _size_field(dspec, "device", "rows"), _size_field(dspec, "device", "cols")
         )
     elif dkind == "heavy_hex_127":
         device = heavy_hex_127_device()

@@ -13,8 +13,8 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from .circuit import Circuit, OpDag, build_dag, depth
-from .cidq import CidqList, extract_cidq_sets
+from .circuit import Circuit, depth
+from .cidq import extract_cidq_sets
 from .control import (
     ControllerTopology,
     DeviceGraph,
@@ -56,7 +56,6 @@ class MetricsReport:
 
 def build_layout(
     circuit: Circuit,
-    ld: CidqList,
     mc: QubitControllerMap,
     topo: ControllerTopology,
     device: DeviceGraph,
@@ -68,6 +67,7 @@ def build_layout(
     """Initial layout for the given mode: communication-aware placement for
     "class", seeded uniform random for "baseline"."""
     if mode == "class":
+        ld = extract_cidq_sets(circuit)
         return initial_placement(mc, ld, topo, device, mode=cost_mode, seed=seed, sweeps=sweeps)
     if mode == "baseline":
         return random_layout(circuit.n_qubits, device.m, seed=seed)
@@ -84,35 +84,18 @@ def run_pipeline(
     cost_mode: str = "pair",
     sweeps: int = 1,
     layout: LogicalPhysicalMap | None = None,
-    dag: OpDag | None = None,
-    ld: CidqList | None = None,
 ) -> tuple[RoutedCircuit, MetricsReport]:
     """Place (unless a layout is supplied), route, and measure one circuit.
 
-    dag and ld, when given, must be the circuit's own DAG and dependency
-    sets (build_dag and extract_cidq_sets of this very circuit): a caller
-    compiling one circuit several times builds them once and passes them in.
+    The circuit's DAG and dependency sets are built on its first compile and
+    kept on it, so compiling one circuit several times builds them once.
     """
     t0 = time.perf_counter()
-    if ld is None:
-        ld = extract_cidq_sets(circuit)
     if layout is None:
-        layout = build_layout(circuit, ld, mc, topo, device, mode, seed, cost_mode, sweeps)
-    if dag is None:
-        dag = build_dag(circuit)
-    routed = schedule(
-        circuit,
-        dag,
-        layout,
-        mc,
-        topo,
-        device,
-        ld=ld,
-        cost_mode=cost_mode,
-        seed=seed,
-        tie_break="iccs" if mode == "class" else "random",
-    )
-    iccs = accumulate_iccs(routed, ld, mc, topo, cost_mode)
+        layout = build_layout(circuit, mc, topo, device, mode, seed, cost_mode, sweeps)
+    tie_break = "iccs" if mode == "class" else "random"
+    routed = schedule(circuit, layout, mc, topo, device, cost_mode, seed, tie_break)
+    iccs = accumulate_iccs(routed, mc, topo, cost_mode)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     report = MetricsReport(
         mode=mode,

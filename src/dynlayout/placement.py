@@ -191,9 +191,7 @@ class _GainEngine:
         self.pin_tgt[np.searchsorted(key, tgt)] = True
         self.pin_type = 2 * self.pin_src + self.pin_tgt - 1
         self.pin_count = np.bincount(self.pin_q, minlength=self.n)
-        eye = np.eye(k, dtype=np.int64)
-        # shift[a, b]: count-row change when one unit moves from controller a to b
-        self.shift = eye[None, :, :] - eye[:, None, :]
+        self.eye = np.eye(k, dtype=np.int64)
 
     def _deltas(self, scnt, tcnt, s_cur, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Cost change of every set when its count rows move by ds / dt, which
@@ -233,9 +231,11 @@ class _GainEngine:
         b != ci; ex[qa, qb] exchanges unlocked qa with unlocked qb under
         another controller."""
         scnt, tcnt, s_cur = self.tables(ctl)
+        # shift[b]: count-row change when one unit moves from ci to b
+        shift = self.eye - self.eye[ci]
         # x of type tx leaves ci for b; y of type ty leaves b for ci
-        ds = self.TYPE_SRC[:, None, None] * self.shift[ci]
-        dt = self.TYPE_TGT[:, None, None] * self.shift[ci]
+        ds = self.TYPE_SRC[:, None, None] * shift
+        dt = self.TYPE_TGT[:, None, None] * shift
         d_x = self._deltas(scnt, tcnt, s_cur, ds, dt)
         d_y = self._deltas(scnt, tcnt, s_cur, -ds, -dt)
         d_j = self._deltas(scnt, tcnt, s_cur, ds[:, None] - ds, dt[:, None] - dt)

@@ -16,8 +16,9 @@ weighted distance of the look-ahead gates on its two logical qubits, so
 two swapped qubits are tested again, since no other gate moved.
 
 The input circuit is validated at entry (a circuit the parser or benchgen
-already checked is not checked again), and the dag and dependency sets
-passed in must come from it.  Routing only maps ops through a layout into
+already checked is not checked again).  The DAG and the dependency sets
+routing walks are derived from it (build_dag and extract_cidq_sets, which
+record them on the circuit).  Routing only maps ops through a layout into
 the device and adds SWAPs, so the routed circuit is not validated again:
 each SWAP is checked against the device's edges as it goes in.
 
@@ -35,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import Circuit, OpDag, Operation
-from .cidq import CidqList, CidqSet, population_cost, set_costs
+from .circuit import Circuit, OpDag, Operation, build_dag
+from .cidq import CidqList, CidqSet, extract_cidq_sets, population_cost, set_costs
 from .control import (
     ConfigError,
     ControllerTopology,
@@ -67,6 +68,7 @@ class RoutedCircuit:
         swap gates included.
     log: execution-order entries, ("op", input op index) or ("swap", pa, pb);
         replaying it from initial_mapping tracks the mapping at any point.
+    decisions: one per inserted SWAP.
     """
 
     circuit: Circuit
@@ -74,8 +76,11 @@ class RoutedCircuit:
     initial_mapping: LogicalPhysicalMap
     final_mapping: LogicalPhysicalMap
     log: tuple[tuple, ...]
-    swaps_inserted: int
     decisions: tuple[SwapDecision, ...]
+
+    @property
+    def swaps_inserted(self) -> int:
+        return len(self.decisions)
 
 
 def obtain_swaps(
@@ -126,7 +131,7 @@ def _lookahead(front: list[int], dag: OpDag) -> tuple[list[tuple[int, int, int]]
     weight p/q, the cost sum_F/|F| + w*sum_E/|E| is scaled by q|F||E|; without
     look-ahead it is sum_F/|F|, scaled by |F|.
     """
-    ops, two_qubit = dag.circuit.ops, dag.two_qubit
+    ops, two_qubit = dag.ops, dag.two_qubit
     f2 = [node for node in front if two_qubit[node]]
     if not f2:
         return [], 1
@@ -195,21 +200,18 @@ def iccs_score(
 
 def schedule(
     circuit: Circuit,
-    dag: OpDag,
     mq0: LogicalPhysicalMap,
     mc: QubitControllerMap,
     topo: ControllerTopology,
     device: DeviceGraph,
-    ld: CidqList,
     cost_mode: str = "pair",
     seed: int = 0,
     tie_break: str = "iccs",
 ) -> RoutedCircuit:
     """Route a circuit onto the device starting from a complete layout.
 
-    circuit is validated first; dag and ld must be built from this very
-    circuit (build_dag and extract_cidq_sets of it), and mq0 must place
-    every logical qubit on the device.
+    circuit is validated first, and the DAG and dependency sets are derived
+    from it; mq0 must place every logical qubit on the device.
     tie_break "iccs" scores depth-tied SWAPs by the communication cost of the
     active dependency sets; "random" (the baseline ablation) picks among the
     depth-tied SWAPs directly.  Both use the seeded generator, so a fixed
@@ -217,14 +219,13 @@ def schedule(
     """
     if tie_break not in ("iccs", "random"):
         raise ValueError(f"tie_break must be 'iccs' or 'random', got {tie_break!r}")
-    if dag.circuit is not circuit:
-        raise ValueError("dag was built from another circuit")
     circuit.validate()
     if not mq0.is_complete():
         raise ConfigError("routing needs a complete initial layout")
     if mq0.m != device.m or min(mq0.forward, default=0) < 0:
         raise ConfigError(f"initial layout must map into the device's {device.m} physical qubits")
-    owners = target_owners(ld)
+    dag = build_dag(circuit)
+    owners = target_owners(extract_cidq_sets(circuit))
     rng = random.Random(seed)
     mq = mq0.copy()
     fwd, inv = mq.forward, mq.inverse  # swap_physical updates both in place
@@ -350,14 +351,12 @@ def schedule(
         initial_mapping=mq0.copy(),
         final_mapping=mq,
         log=tuple(log),
-        swaps_inserted=len(decisions),
         decisions=tuple(decisions),
     )
 
 
 def accumulate_iccs(
     routed: RoutedCircuit,
-    ld: CidqList,
     mc: QubitControllerMap,
     topo: ControllerTopology,
     mode: str = "pair",
@@ -371,6 +370,7 @@ def accumulate_iccs(
     reads of the same outcome add a delivery).  Without SWAPs this equals the
     static objective under the initial mapping.
     """
+    ld = extract_cidq_sets(routed.source)
     # op index -> (population row, qubits) of the sets it reads for; row 2i
     # holds the sources of set i and row 2i + 1 its deliveries
     reads: dict[int, list[tuple[int, frozenset[int]]]] = {}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout import CircuitError, build_dag
+from dynlayout import CircuitError, build_dag, extract_cidq_sets
 from dynlayout.circuit import Circuit, Operation, depth
 
 
@@ -152,6 +152,15 @@ class TestDag:
         # write-after-read: a re-measure of the same clbit must not overtake
         # an earlier conditional read
         assert 1 in dag.succ[0]
+
+    def test_built_once_and_kept_outside_the_fields(self):
+        ops = (op("measure", 0, clbit=0), op("x", 1, condition=frozenset({(0, 1)})))
+        c, twin = circuit(2, 1, *ops), circuit(2, 1, *ops)
+        dag, ld = build_dag(c), extract_cidq_sets(c)
+        assert build_dag(c) is dag and extract_cidq_sets(c) is ld
+        assert dag.ops is c.ops
+        # the records change no field: equality, hash and repr stay the twin's
+        assert (c == twin, hash(c) == hash(twin), repr(c) == repr(twin)) == (True, True, True)
 
     def test_independent_ops_parallel(self):
         c = circuit(4, 0, op("h", 0), op("h", 1), op("h", 2), op("h", 3))

@@ -1,26 +1,25 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlayout import (
-    build_dag,
     contiguous_assignment,
-    extract_cidq_sets,
     generate,
-    heavy_hex_127_device,
     line_device,
     parse_circuit,
     run_pipeline,
     serialize_circuit,
     star_topology,
 )
-from dynlayout import cli, control, pipeline
+from dynlayout import cli, control, pipeline, scheduler
 from dynlayout.cli import main
 
 
@@ -55,23 +54,20 @@ class TestRunPipeline:
             run_pipeline(c, contiguous_assignment(4, 2), star_topology(2), dev, mode="fast")
 
     @pytest.mark.parametrize("mode", ["class", "baseline"])
-    def test_given_dag_and_sets_change_nothing(self, mode):
-        c = generate("random", 8, n_blocks=10, seed=2)
+    def test_dropped_circuit_freed_without_collector(self, mode):
+        # the circuit keeps its DAG and dependency sets, and neither points
+        # back at it, so reference counting alone frees a dropped circuit
+        c = parse_circuit(serialize_circuit(generate("random", 8, n_blocks=10, seed=2)))
         setup = (contiguous_assignment(8, 2), star_topology(2), line_device(8))
-        own, rep_own = run_pipeline(c, *setup, mode=mode, seed=3)
-        given, rep_given = run_pipeline(
-            c, *setup, mode=mode, seed=3, dag=build_dag(c), ld=extract_cidq_sets(c))
-        assert given.decisions == own.decisions and given.circuit == own.circuit
-        assert strip_runtime(rep_given.to_dict()) == strip_runtime(rep_own.to_dict())
-
-    @pytest.mark.parametrize(
-        "circuit, other", [(("pe", 20), ("cc", 12)), (("cc", 12), ("pe", 20))],
-        ids=["pe20-cc12", "cc12-pe20"])
-    def test_foreign_dag_rejected(self, circuit, other):
-        dev = heavy_hex_127_device()
-        c, foreign = generate(*circuit), build_dag(generate(*other))
-        with pytest.raises(ValueError, match="another circuit"):
-            run_pipeline(c, contiguous_assignment(dev.m, 4), star_topology(4), dev, dag=foreign)
+        gc.disable()
+        try:
+            routed, report = run_pipeline(c, *setup, mode=mode, seed=3)
+            assert routed.swaps_inserted > 0
+            ref = weakref.ref(c)
+            del c, routed, report
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_report_schema(self):
         c = generate("dqft", 4)
@@ -358,26 +354,28 @@ class TestSweep:
         return ",".join(paths)
 
     def test_each_file_parsed_and_dag_built_once(self, qasm_files, tmp_path, monkeypatch):
-        calls = {"parse": 0, "dag": 0, "sets": 0}
+        results = {"parse": [], "dag": [], "sets": []}  # what every call returned
 
-        def counted(name, fn):
+        def kept(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                results[name].append(fn(*args, **kwargs))
+                return results[name][-1]
             return wrapper
 
-        monkeypatch.setattr(cli, "parse_circuit", counted("parse", cli.parse_circuit))
-        for module in (cli, pipeline):
-            monkeypatch.setattr(module, "build_dag", counted("dag", module.build_dag))
-            monkeypatch.setattr(
-                module, "extract_cidq_sets", counted("sets", module.extract_cidq_sets))
+        monkeypatch.setattr(cli, "parse_circuit", kept("parse", cli.parse_circuit))
+        for module in (cli, pipeline, scheduler):
+            for name, fn in (("dag", "build_dag"), ("sets", "extract_cidq_sets")):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, kept(name, getattr(module, fn)))
         assert main([
             "sweep", "--benchmarks", qasm_files, "--k-values", "2,3", "--seeds", "0..2",
             "--device", "line:6", "--out", str(tmp_path / "s.csv"),
         ]) == 0
         assert len(list(csv.DictReader((tmp_path / "s.csv").open()))) == 12
-        # one DAG per file, one extraction per cell for both of its compiles
-        assert calls == {"parse": 2, "dag": 2, "sets": 12}
+        # every compile of a file's 6 cells reads the one DAG and the one set
+        # list built for its circuit: count the distinct objects, not the calls
+        built = {name: len({id(r) for r in rs}) for name, rs in results.items()}
+        assert built == {"parse": 2, "dag": 2, "sets": 2}
 
     def test_generated_token_built_once_per_seed(self, tmp_path, monkeypatch):
         seeds = []
@@ -395,18 +393,24 @@ class TestSweep:
         assert seeds == [0, 1, 2]
 
     def test_shared_loads_match_parallel_jobs(self, qasm_files, tmp_path):
+        # the unparsable file's ParseError does not survive pickling, so a
+        # worker must get its text
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("qreg q[2];\nbogus q[0];\n")
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["sweep", "--benchmarks", qasm_files, "--k-values", "2,3", "--seeds", "0..2",
-                "--device", "line:6"]
-        assert main(args + ["--out", str(serial)]) == 0
-        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        args = ["sweep", "--benchmarks", f"{qasm_files},{bad}", "--k-values", "2,3",
+                "--seeds", "0..2", "--device", "line:6"]
+        assert main(args + ["--out", str(serial)]) == 1
+        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 1
         drop = ("class_runtime_ms", "baseline_runtime_ms")
 
         def stable(path):
             return [{k: v for k, v in r.items() if k not in drop}
                     for r in csv.DictReader(path.open())]
 
-        assert stable(serial) == stable(parallel)
+        rows = stable(serial)
+        assert rows == stable(parallel)
+        assert [r["error"].split(":")[0] for r in rows] == [""] * 12 + ["ParseError"] * 6
 
 
 class TestFlagScope:
@@ -483,6 +487,10 @@ class TestBadDocuments:
             ("--topology", topology_doc(device={"kind": "line", "m": "4"})),
             ("--topology", topology_doc(device={"kind": "grid", "rows": 2, "cols": False})),
             ("--topology", topology_doc(device={"kind": "edge_list"})),
+            ("--topology", topology_doc(controllers={"kind": "star", "k": 1},
+                                        device={"kind": "grid", "rows": -1, "cols": -1})),
+            ("--topology", topology_doc(device={"kind": "grid", "rows": -2, "cols": -2})),
+            ("--topology", topology_doc(device={"kind": "line", "m": -5})),
             ("--topology", topology_doc(controllers={"kind": "matrix", "hop": 5})),
             ("--topology", topology_doc(controllers={"kind": "matrix", "hop": [0, 1]})),
             ("--topology", topology_doc(controllers={"kind": "matrix", "hop": [[0, True]]})),
@@ -501,6 +509,20 @@ class TestBadDocuments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("device, field, value", [
+        ({"kind": "grid", "rows": -1, "cols": -1}, "rows", -1),
+        ({"kind": "grid", "rows": 2, "cols": 0}, "cols", 0),
+        ({"kind": "line", "m": -5}, "m", -5),
+    ], ids=["grid-rows", "grid-cols", "line-m"])
+    def test_device_size_below_one_named(self, device, field, value, tmp_path, capsys):
+        # a one-qubit circuit, so no later check could refuse a tiny device
+        circuit = tmp_path / "one.qasm"
+        circuit.write_text("qreg q[1];\nh q[0];\n")
+        doc = tmp_path / "doc.json"
+        doc.write_text(topology_doc(controllers={"kind": "star", "k": 1}, device=device))
+        assert main(["transpile", "--circuit", str(circuit), "--topology", str(doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: topology device.{field} must be a positive integer, got {value}\n")
 
     @pytest.mark.parametrize("line", ["1 x", "1 2 3", "-1 2", "2 2", "1 2.0",
                                       pytest.param("1 " + "9" * 5000, id="5000-digit")])
@@ -688,3 +710,12 @@ class TestSweepsFlag:
         assert main([*argv, "--sweeps", sweeps]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sweeps" in err and err.count("\n") == 1
+
+
+class TestJobsFlag:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_exits_2_with_one_line(self, jobs, capsys):
+        argv = ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6"]
+        assert main([*argv, "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --jobs must be at least 1, got {jobs}\n"

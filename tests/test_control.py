@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,21 @@ class TestControllerTopology:
         # 0->2 direct hop 5 exceeds 0->1->2 = 2
         with pytest.raises(ConfigError):
             matrix_topology([[0, 1, 5], [1, 0, 1], [5, 1, 0]]).validate()
+
+    def test_large_star_skips_the_closure(self):
+        # a uniform hop passes the triangle inequality, so k = 600 needs no
+        # O(k**3) closure (about 20 s when it ran)
+        t0 = time.perf_counter()
+        topo = star_topology(600)
+        assert time.perf_counter() - t0 < 5.0
+        assert topo.k == 600 and topo.is_uniform()
+
+    def test_non_uniform_triangle_violation_still_rejected(self):
+        # hop 2 everywhere but 0->4, whose 5 exceeds the relay 0->1->4 = 4
+        hop = [[0 if i == j else 2 for j in range(5)] for i in range(5)]
+        hop[0][4] = hop[4][0] = 5
+        with pytest.raises(ConfigError, match="triangle inequality violated at \\(0,4\\)"):
+            matrix_topology(hop)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ConfigError):

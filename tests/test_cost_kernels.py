@@ -9,6 +9,7 @@ and the routing-time replay `accumulate_iccs` of a circuit routed without
 SWAPs.  All of them go through the one kernel `cidq.population_cost`.
 """
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from dynlayout import (
     COST_MODES,
     Movement,
     apply_movement,
-    build_dag,
     contiguous_assignment,
     controller_of,
     extract_cidq_sets,
@@ -27,6 +27,7 @@ from dynlayout import (
     matrix_topology,
     movement_gain,
     run_pipeline,
+    star_topology,
     total_cost_L,
 )
 from dynlayout.cidq import controllers, set_costs
@@ -99,6 +100,21 @@ def test_pass_scores_equal_brute_force_gains(mode, seed):
             locked.update(move.moved_qubits())
 
 
+def test_engine_build_not_cubic_in_k():
+    # scoring reads one k x k slice per pass controller; a k x k x k table of
+    # them, built with the engine, took 216 MB at k = 300
+    rng = random.Random(0)
+    ld = random_cidq_list(rng, 40, 30)
+    hop = star_topology(300).hop
+    tracemalloc.start()
+    try:
+        _GainEngine(ld, 300, hop, "pair")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak
+
+
 def random_dynamic_circuit(rng: random.Random, n: int) -> Circuit:
     """Measures and conditioned single-qubit gates only, so routing needs no
     SWAP.  Clbits get re-measured, conditions may read two bits, and a gate
@@ -142,9 +158,9 @@ def test_cost_forms_agree(mode, seed):
     assert _GainEngine(ld, k, topo.hop, mode).tables(ctl)[2].tolist() == per_set
 
     device = line_device(mc.m)
-    routed = schedule(circuit, build_dag(circuit), mq, mc, topo, device, ld, cost_mode=mode)
+    routed = schedule(circuit, mq, mc, topo, device, cost_mode=mode)
     assert routed.swaps_inserted == 0
-    assert accumulate_iccs(routed, ld, mc, topo, mode) == summed
+    assert accumulate_iccs(routed, mc, topo, mode) == summed
 
 
 @pytest.mark.parametrize("mode", MODES)
