@@ -137,9 +137,14 @@ GENERATORS = {
 
 
 def generate(family: str, n: int, n_blocks: int | None = None, seed: int = 0) -> Circuit:
-    """Dispatch by family name (dqft | ipe | cc | random)."""
+    """Dispatch by family name (dqft | ipe | cc | random); only the random
+    family takes a block count."""
     if family not in GENERATORS:
         raise ValueError(f"unknown benchmark family {family!r}")
+    if n_blocks is not None and family != "random":
+        raise ValueError(
+            f"a block count ({n_blocks}) only applies to the random family, not {family!r}"
+        )
     if family == "random":
         return gen_random_dqc(n, n_blocks if n_blocks is not None else n, seed)
     return GENERATORS[family](n)

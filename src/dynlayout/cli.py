@@ -11,6 +11,7 @@ byte-for-byte except the runtime fields.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -28,6 +29,9 @@ from .placement import initial_placement
 from .qasm import parse_circuit, serialize_circuit
 
 LAYOUT_SCHEMA_VERSION = 1
+# sweep --jobs keeps this many cells per worker in flight: one running and
+# one queued, so no worker waits for the parent to hand over its next cell
+SWEEP_WINDOW_PER_JOB = 2
 
 _BENCH_RE = re.compile(r"^(dqft|ipe|pe|cc|random)(\d+)(?:x(\d+))?$")
 _DEVICE_RE = re.compile(r"^(?:heavy_hex_127|line:(?P<m>\d+)|grid:(?P<rows>\d+)x(?P<cols>\d+))$")
@@ -49,8 +53,6 @@ def _load_circuit(token: str, seed: int = 0):
     m = _BENCH_RE.match(token)
     if m:
         family, n, blocks = m.group(1), int(m.group(2)), m.group(3)
-        if blocks is not None and family != "random":
-            raise CliError(f"block-count suffix only applies to random benchmarks: {token!r}")
         return generate(family, n, n_blocks=int(blocks) if blocks else None, seed=seed)
     path = Path(token)
     if not path.exists():
@@ -133,9 +135,7 @@ def cmd_place(args) -> int:
     circuit = _load_circuit(args.circuit, seed=args.seed)
     topo, device, mc = _load_setup(args)
     ld = extract_cidq_sets(circuit)
-    mq = initial_placement(
-        mc, ld, topo, device, mode=args.cost_mode, seed=args.seed, sweeps=args.sweeps
-    )
+    mq = initial_placement(mc, ld, topo, device, mode=args.cost_mode, seed=args.seed)
     cost = total_cost_L(ld, mq, mc, topo, args.cost_mode)
     bound = cost_lower_bound(ld, mc, topo, args.cost_mode)
     _write_or_print(_layout_doc(mq, cost, bound), args.emit_layout)
@@ -156,7 +156,6 @@ def cmd_route(args) -> int:
         mode=args.mode,
         seed=args.seed,
         cost_mode=args.cost_mode,
-        sweeps=args.sweeps,
         layout=layout,
     )
     _write_or_print(report.to_json(), args.report)
@@ -218,7 +217,7 @@ def _sweep_cell(cell: dict, setup: tuple, source) -> dict:
     try:
         for mode in MODES:
             _, report = run_pipeline(source, mc, topo, device, mode=mode, seed=cell["seed"],
-                                     cost_mode=cell["cost_mode"], sweeps=cell["sweeps"])
+                                     cost_mode=cell["cost_mode"])
             out[f"{mode}_iccs"] = report.iccs
             out[f"{mode}_operations"] = report.operations
             out[f"{mode}_depth"] = report.depth
@@ -262,23 +261,25 @@ def cmd_sweep(args) -> int:
             raise CliError(f"{flag} lists no values, so the sweep has no cells")
     setups = {k: load_topology(_setup_doc(args.device, args.controllers, k)) for k in ks}
     cells = [
-        {
-            "benchmark": bench,
-            "k": k,
-            "seed": seed,
-            "cost_mode": args.cost_mode,
-            "sweeps": args.sweeps,
-        }
+        {"benchmark": bench, "k": k, "seed": seed, "cost_mode": args.cost_mode}
         for bench in benchmarks
         for k in ks
         for seed in seeds
     ]
-    inputs = (cells, [setups[cell["k"]] for cell in cells], _sweep_sources(cells))
+    inputs = zip(cells, (setups[cell["k"]] for cell in cells), _sweep_sources(cells))
     if args.jobs > 1 and len(cells) > 1:
+        # at most SWEEP_WINDOW_PER_JOB * jobs cells in flight: the parent
+        # loads, and holds pickled, only their inputs, and a new cell is
+        # handed over as soon as the oldest one's result is taken
+        results, running = [], collections.deque()
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, *inputs))
+            for cell_input in inputs:
+                if len(running) == SWEEP_WINDOW_PER_JOB * args.jobs:
+                    results.append(running.popleft().result())
+                running.append(pool.submit(_sweep_cell, *cell_input))
+            results.extend(future.result() for future in running)
     else:
-        results = list(map(_sweep_cell, *inputs))
+        results = [_sweep_cell(*cell_input) for cell_input in inputs]
 
     rows = [{col: res.get(col, "") for col in _SWEEP_COLUMNS} for res in results]
     text = io.StringIO()
@@ -325,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--topology", help="topology JSON document")
     topology.add_argument("--k", type=int, help="controller count (shortcut for --topology)")
 
-    sweeps = argparse.ArgumentParser(add_help=False)
-    sweeps.add_argument("--sweeps", type=int, default=1, help="refinement sweeps in placement")
-
     setup = [seed, cost, device, topology]  # one circuit on one resolved setup
 
     # subparsers are built with the same class, so their errors are one line too
@@ -346,25 +344,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = add("place", parents=[*setup, sweeps], help="feedforward-aware placement")
+    p = add("place", parents=setup, help="feedforward-aware placement")
     p.add_argument("--circuit", required=True, help="circuit file or benchmark token")
     p.add_argument("--emit-layout", help="layout JSON output (default stdout)")
     p.set_defaults(func=cmd_place)
 
-    p = add("route", parents=[*setup, sweeps], help="SWAP-insert onto the device")
+    p = add("route", parents=setup, help="SWAP-insert onto the device")
     p.add_argument("--circuit", required=True)
     p.add_argument("--layout", default="auto", help="layout JSON or 'auto'")
     p.add_argument("--mode", choices=MODES, default="class")
     p.add_argument("--report", help="metrics JSON output (default stdout)")
     p.set_defaults(func=cmd_route)
 
-    p = add("transpile", parents=[*setup, sweeps], help="place then route")
+    p = add("transpile", parents=setup, help="place then route")
     p.add_argument("--circuit", required=True)
     p.add_argument("--mode", choices=MODES, default="class")
     p.add_argument("--report", help="metrics JSON output (default stdout)")
     p.set_defaults(func=cmd_route, layout="auto")
 
-    p = add("sweep", parents=[cost, device, sweeps], help="benchmark x k x seed grid")
+    p = add("sweep", parents=[cost, device], help="benchmark x k x seed grid")
     p.add_argument("--benchmarks", required=True, help="comma-separated tokens or files")
     p.add_argument("--k-values", required=True, help='"4,6,8" or "4..8"')
     p.add_argument("--seeds", default="0", help='"0,1,2" or "0..9"')
@@ -384,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Baseline mode, a given --layout and sweep cells never reach the
-        # placement that rejects --sweeps < 1; --jobs < 1 would run serially.
-        if getattr(args, "sweeps", 1) < 1:
-            raise CliError(f"--sweeps must be at least 1, got {args.sweeps}")
+        # --jobs < 1 would otherwise run serially
         if getattr(args, "jobs", 1) < 1:
             raise CliError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)

@@ -62,13 +62,12 @@ def build_layout(
     mode: str,
     seed: int,
     cost_mode: str = "pair",
-    sweeps: int = 1,
 ) -> LogicalPhysicalMap:
     """Initial layout for the given mode: communication-aware placement for
     "class", seeded uniform random for "baseline"."""
     if mode == "class":
         ld = extract_cidq_sets(circuit)
-        return initial_placement(mc, ld, topo, device, mode=cost_mode, seed=seed, sweeps=sweeps)
+        return initial_placement(mc, ld, topo, device, mode=cost_mode, seed=seed)
     if mode == "baseline":
         return random_layout(circuit.n_qubits, device.m, seed=seed)
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -82,7 +81,6 @@ def run_pipeline(
     mode: str = "class",
     seed: int = 0,
     cost_mode: str = "pair",
-    sweeps: int = 1,
     layout: LogicalPhysicalMap | None = None,
 ) -> tuple[RoutedCircuit, MetricsReport]:
     """Place (unless a layout is supplied), route, and measure one circuit.
@@ -92,7 +90,7 @@ def run_pipeline(
     """
     t0 = time.perf_counter()
     if layout is None:
-        layout = build_layout(circuit, mc, topo, device, mode, seed, cost_mode, sweeps)
+        layout = build_layout(circuit, mc, topo, device, mode, seed, cost_mode)
     tie_break = "iccs" if mode == "class" else "random"
     routed = schedule(circuit, layout, mc, topo, device, cost_mode, seed, tie_break)
     iccs = accumulate_iccs(routed, mc, topo, cost_mode)
@@ -110,7 +108,6 @@ def run_pipeline(
             "n_qubits": circuit.n_qubits,
             "m_physical": device.m,
             "k_controllers": mc.k,
-            "sweeps": sweeps,
         },
     )
     return routed, report

@@ -7,9 +7,11 @@ for one controller C_i at a time, enumerate single-qubit relocations from C_i
 into free slots of the other controllers and exchanges of a C_i qubit with an
 outside qubit, repeatedly apply the currently best-gain movement (locking
 touched qubits, negative gains allowed), then keep the prefix of applied
-movements with the best cumulative gain if that gain is positive.
-Refinement stops at the certified lower bound `cidq.cost_lower_bound`: a
-mapping that meets it cannot improve, so no further pass runs.
+movements with the best cumulative gain if that gain is positive.  Sweeps
+of passes, one per controller that holds a qubit, repeat until a sweep finds
+nothing cheaper.  Refinement stops at the certified lower bound
+`cidq.cost_lower_bound`: a mapping that meets it cannot improve, so no
+further pass runs.
 
 Movement gains come from per-set controller populations, the input of the
 cost kernel `cidq.population_cost`.  A moving qubit shifts them by a vector
@@ -398,19 +400,20 @@ def stage2_iterate(
     ld: CidqList,
     topo: ControllerTopology,
     mode: str = "pair",
-    sweeps: int = 1,
 ) -> LogicalPhysicalMap:
-    """Refinement: per sweep, run one movement pass per controller C_i against
-    all the others, every pass starting from the same input mapping, and keep
-    the cheapest result (ties: first encountered).  Extra sweeps restart from
-    the winner and stop early once no pass improves.  sweeps must be >= 1.
+    """Refinement to a fixpoint: per sweep, run one movement pass per
+    controller C_i that holds a logical qubit, in ascending order, against all
+    the others, every pass starting from the same input mapping, and keep the
+    cheapest result (ties: first encountered).  Sweeps restart from the winner
+    until one finds nothing cheaper.  A pass moves qubits only out of its own
+    controller, so a pass on an empty controller would return its input;
+    skipping it changes neither the result nor the tie order.
 
     Refinement stops at the certified bound `cidq.cost_lower_bound`: no sweep
     starts from a mapping that meets it, and a sweep runs no further pass once
     a candidate meets it.  Only a strictly lower cost is accepted, so neither
-    stop changes the result."""
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    stop changes the result, and every sweep but the last lowers an integer
+    cost that cannot fall below the bound, so the loop ends."""
     bound = cost_lower_bound(ld, mc, topo, mode)
 
     def cost_of(mapping: LogicalPhysicalMap) -> int:
@@ -421,11 +424,9 @@ def stage2_iterate(
 
     current = mq.copy()
     current_cost = cost_of(current)
-    for _ in range(sweeps):
-        if current_cost == bound:
-            break
+    while current_cost > bound:
         best, best_cost = None, current_cost
-        for ci in range(mc.k):
+        for ci in sorted({mc.assignment[p] for p in current.forward}):
             candidate, _ = run_pass(current, ci, ld, mc, topo, mode)
             cost = cost_of(candidate)
             if cost < best_cost:
@@ -445,14 +446,13 @@ def initial_placement(
     device: DeviceGraph,
     mode: str = "pair",
     seed: int = 0,
-    sweeps: int = 1,
 ) -> LogicalPhysicalMap:
-    """Full placement: greedy seeding plus refinement sweeps."""
+    """Full placement: greedy seeding plus refinement to a fixpoint."""
     if mc.m != device.m:
         raise ConfigError(f"assignment covers {mc.m} qubits, device has {device.m}")
     hyper = build_hypergraph(ld, ld.n_qubits)
     seeded = stage1_greedy(mc, ld, hyper, seed)
-    refined = stage2_iterate(seeded, mc, ld, topo, mode, sweeps=sweeps)
+    refined = stage2_iterate(seeded, mc, ld, topo, mode)
     seeded_cost = total_cost_L(ld, seeded, mc, topo, mode)
     refined_cost = total_cost_L(ld, refined, mc, topo, mode)
     if refined_cost > seeded_cost:

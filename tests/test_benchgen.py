@@ -97,5 +97,11 @@ def test_unknown_family_rejected():
         generate("qaoa", 5)
 
 
+@pytest.mark.parametrize("family", ["dqft", "ipe", "pe", "cc"])
+def test_block_count_outside_random_rejected(family):
+    with pytest.raises(ValueError, match=r"block count \(5\)"):
+        generate(family, 6, n_blocks=5)
+
+
 def test_generators_table_complete():
     assert set(GENERATORS) == {"dqft", "ipe", "pe", "cc", "random"}

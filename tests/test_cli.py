@@ -96,6 +96,17 @@ class TestGen:
         assert main(["gen", "vqe", "--n", "4"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "dqft", "--n", "3", "--blocks", "5"],
+        ["place", "--circuit", "dqft3x5", "--k", "1", "--device", "line:3"],
+    ], ids=["gen", "token"])
+    def test_block_count_outside_random_exits_2_with_one_line(self, argv, capsys):
+        # `gen --blocks` and a token's x-suffix share benchgen.generate's rule
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "block count (5)" in err
+        assert err.count("\n") == 1
+
 
 class TestPlaceRoute:
     def test_place_then_route_uses_layout(self, tmp_path):
@@ -249,7 +260,7 @@ class TestTieEpsilon:
             command, "--circuit", "cc8", "--k", "2", "--device", "line:8", "--report", str(rep),
         ]) == 0
         assert json.loads(rep.read_text())["config"] == {
-            "k_controllers": 2, "m_physical": 8, "n_qubits": 8, "sweeps": 1}
+            "k_controllers": 2, "m_physical": 8, "n_qubits": 8}
 
 
 class TestOracleCmd:
@@ -392,7 +403,19 @@ class TestSweep:
         ]) == 0
         assert seeds == [0, 1, 2]
 
-    def test_shared_loads_match_parallel_jobs(self, qasm_files, tmp_path):
+    def test_shared_loads_match_parallel_jobs(self, qasm_files, tmp_path, monkeypatch):
+        in_flight, taken = [], []
+
+        class Recording(cli.ProcessPoolExecutor):
+            # at each hand-over: cells handed over whose result is not taken
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                result = future.result
+                future.result = lambda *timeout: taken.append(1) or result(*timeout)
+                in_flight.append(len(in_flight) + 1 - len(taken))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
         # the unparsable file's ParseError does not survive pickling, so a
         # worker must get its text
         bad = tmp_path / "bad.qasm"
@@ -402,6 +425,8 @@ class TestSweep:
                 "--seeds", "0..2", "--device", "line:6"]
         assert main(args + ["--out", str(serial)]) == 1
         assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 1
+        # 18 cells, never more than SWEEP_WINDOW_PER_JOB * jobs in flight
+        assert len(in_flight) == 18 and max(in_flight) == cli.SWEEP_WINDOW_PER_JOB * 2
         drop = ("class_runtime_ms", "baseline_runtime_ms")
 
         def stable(path):
@@ -423,6 +448,9 @@ class TestFlagScope:
         ["transpile", "--circuit", "cc6", "--k", "2", "--device", "line:6", "--jobs", "2"],
         ["gen", "cc", "--n", "6", "--cost-mode", "pair"],
         ["oracle", "--circuit", "dqft4", "--k", "2", "--device", "line:4", "--sweeps", "2"],
+        ["place", "--circuit", "cc6", "--k", "2", "--device", "line:6", "--sweeps", "2"],
+        ["transpile", "--circuit", "cc6", "--k", "2", "--device", "line:6", "--sweeps", "2"],
+        ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6", "--sweeps", "2"],
         ["route", "--circuit", "dqft4", "--k", "2", "--device", "line:4", "--tie-epsilon", "0"],
     ])
     def test_unread_flag_rejected(self, argv, capsys):
@@ -692,24 +720,6 @@ class TestTooManyControllers:
         doc.write_text(topology_doc(controllers={"kind": "star", "k": 150}))
         assert main(["transpile", "--circuit", "dqft4", "--topology", str(doc)]) == 2
         assert capsys.readouterr().err == "error: cannot split 4 qubits across 150 controllers\n"
-
-
-class TestSweepsFlag:
-    @pytest.mark.parametrize("sweeps", ["0", "-1"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["transpile", "--circuit", "dqft4", "--k", "2", "--device", "line:4"],
-            ["transpile", "--circuit", "dqft4", "--k", "2", "--device", "line:4",
-             "--mode", "baseline"],
-            ["sweep", "--benchmarks", "cc6", "--k-values", "2", "--device", "line:6"],
-        ],
-        ids=["class", "baseline", "sweep"],
-    )
-    def test_fewer_than_one_exits_2_with_one_line(self, argv, sweeps, capsys):
-        assert main([*argv, "--sweeps", sweeps]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "sweeps" in err and err.count("\n") == 1
 
 
 class TestJobsFlag:

@@ -250,14 +250,27 @@ class TestStage2:
         mq = complete_random_mapping(rng, 5, mc)
         assert stage2_iterate(mq, mc, ld, topo, "pair") == mq
 
-    @pytest.mark.parametrize("sweeps", [0, -1])
-    def test_fewer_than_one_sweep_rejected(self, sweeps):
-        rng = random.Random(3)
-        ld = random_cidq_list(rng, 4, 3)
-        topo, mc = uniform_setup(4, 2, 2)
-        mq = complete_random_mapping(rng, 4, mc)
-        with pytest.raises(ValueError, match="sweeps"):
-            stage2_iterate(mq, mc, ld, topo, "pair", sweeps=sweeps)
+    @pytest.mark.parametrize("mode", ["pair", "per_target"])
+    @pytest.mark.parametrize("topology", ["star", "matrix"])
+    def test_pass_on_an_empty_controller_is_identity(self, topology, mode):
+        # a pass moves qubits only out of its own controller, which is why
+        # refinement skips controllers that hold no logical qubit
+        from helpers import explicit_mapping
+
+        for seed in range(20):
+            rng = random.Random(seed)
+            k, capacity = rng.randint(2, 5), rng.randint(2, 4)
+            mc = contiguous_assignment(k * capacity, k)
+            topo = star_topology(k) if topology == "star" else matrix_topology(
+                random_metric_hops(rng, k))
+            held = rng.sample(range(k), rng.randint(1, k - 1))
+            slots = [p for c in held for p in mc.qubits_of(c)]
+            n = rng.randint(2, len(slots))
+            mq = explicit_mapping(rng.sample(slots, n), mc.m)
+            ld = random_cidq_list(rng, n, rng.randint(1, 6))
+            for ci in sorted(set(range(k)) - set(held)):
+                out, state = run_pass(mq, ci, ld, mc, topo, mode)
+                assert out == mq and state.applied == [] and state.prefix_length == 0
 
 
 class TestInitialPlacement:
@@ -365,6 +378,10 @@ LAYOUT_PINS = {
     ("pe", 20, None, 4, "pair"): [
         32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51,
     ],
+    ("random", 30, 30, 4, "pair"): [
+        38, 45, 34, 0, 49, 40, 50, 41, 1, 46, 42, 47, 52, 97, 39, 96, 43, 53, 35, 2,
+        36, 44, 98, 54, 37, 32, 51, 55, 33, 48,
+    ],
     ("random", 48, 6, 4, "pair"): [
         32, 36, 37, 38, 39, 64, 0, 40, 33, 65, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50,
         51, 52, 96, 53, 54, 66, 1, 55, 56, 57, 58, 59, 60, 61, 62, 34, 63, 68, 69, 70,
@@ -381,6 +398,21 @@ def test_initial_placement_layouts_pinned(key):
     mc = contiguous_assignment(127, k)
     mq = initial_placement(mc, ld, star_topology(k), heavy_hex_127_device(), mode=mode, seed=0)
     assert [mq.physical(q) for q in range(n)] == LAYOUT_PINS[key]
+
+
+@pytest.mark.parametrize("key", [("random", 30, 30, seed) for seed in range(3)] + [
+    ("random", 40, 40, 0)], ids=lambda key: "-".join(map(str, key)))
+def test_refinement_ends_at_a_fixpoint(key):
+    """From the layout placement returns, no pass on any controller finds a
+    cheaper one: refinement runs sweeps until none pays off."""
+    family, n, blocks, seed = key
+    ld = extract_cidq_sets(generate(family, n, blocks, seed=seed))
+    mc, topo = contiguous_assignment(127, 4), star_topology(4)
+    mq = initial_placement(mc, ld, topo, heavy_hex_127_device(), mode="pair", seed=seed)
+    cost = total_cost_L(ld, mq, mc, topo, "pair")
+    for ci in range(mc.k):
+        candidate, _ = run_pass(mq, ci, ld, mc, topo, "pair")
+        assert total_cost_L(ld, candidate, mc, topo, "pair") >= cost
 
 
 def random_sets(rng: random.Random, n_qubits: int) -> CidqList:
@@ -450,7 +482,7 @@ class TestLowerBound:
             return run_pass(*args, **kwargs)
 
         monkeypatch.setattr(placement, "run_pass", counted)
-        mq = initial_placement(mc, ld, topo, heavy_hex_127_device(), mode="pair", sweeps=3)
+        mq = initial_placement(mc, ld, topo, heavy_hex_127_device(), mode="pair")
         assert calls == []
         assert total_cost_L(ld, mq, mc, topo, "pair") == cost_lower_bound(ld, mc, topo, "pair")
 
