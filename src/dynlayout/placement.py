@@ -11,7 +11,9 @@ movements with the best cumulative gain if that gain is positive.  Sweeps
 of passes, one per controller that holds a qubit, repeat until a sweep finds
 nothing cheaper.  Refinement stops at the certified lower bound
 `cidq.cost_lower_bound`: a mapping that meets it cannot improve, so no
-further pass runs.
+further pass runs.  Gains are exact cost deltas, so a candidate's cost is its
+input's cost less its pass's prefix gain; only the seed and a refined result
+are priced through `total_cost_L`, the latter once, as a check.
 
 Movement gains come from per-set controller populations, the input of the
 cost kernel `cidq.population_cost`.  A moving qubit shifts them by a vector
@@ -83,6 +85,13 @@ class PassState:
     applied: list[Movement] = field(default_factory=list)
     prefix_length: int = 0
     prefix_gain: int = 0
+
+
+def _check_fits(n_logical: int, m_physical: int) -> None:
+    """Refuse a circuit the device cannot hold, before anything sized by the
+    circuit's qubit count is built."""
+    if n_logical > m_physical:
+        raise ConfigError(f"device hosts {m_physical} qubits, circuit needs {n_logical}")
 
 
 def _free_slots(mq: LogicalPhysicalMap, mc: QubitControllerMap, c: int) -> list[int]:
@@ -276,8 +285,8 @@ def run_pass(
 ) -> tuple[LogicalPhysicalMap, PassState]:
     """One qubit-moving pass between `controller` and every other controller.
 
-    Returns the improved mapping (the input mapping reapplied up to the best
-    positive cumulative-gain prefix, else unchanged) plus the pass record.
+    Returns the mapping after the first movement prefix with the largest
+    positive cumulative gain (else a copy of the input) plus the pass record.
     """
     state = PassState()
     if not mq.is_complete():
@@ -291,12 +300,11 @@ def run_pass(
 
     work = mq.copy()
     ctl = controllers(work, mc)
-    free_heaps: dict[int, list[int]] = {
-        c: sorted(_free_slots(work, mc, c)) for c in range(k)
-    }
-    for h in free_heaps.values():
-        heapq.heapify(h)
+    # ascending lists are already heaps; a pass never relocates into its own
+    # controller, so the slots it vacates there need no heap entry
+    free_heaps = {c: _free_slots(work, mc, c) for c in range(k)}
     locked = np.zeros(n, dtype=bool)
+    result, running = mq.copy(), 0
 
     while True:
         has_free = np.array([bool(free_heaps[b]) for b in range(k)])
@@ -316,7 +324,6 @@ def run_pass(
             move = Movement(
                 "relocate", q, controller, b, to_physical=slot, gain=best_rel
             )
-            heapq.heappush(free_heaps[controller], work.physical(q))
             work.move(q, slot)
             ctl[q] = b
             locked[q] = True
@@ -329,17 +336,11 @@ def run_pass(
             ctl[qa], ctl[qb] = ctl[qb], ctl[qa]
             locked[qa] = locked[qb] = True
         state.applied.append(move)
-
-    # keep the best positive prefix of the applied movement sequence
-    result = mq.copy()
-    if state.applied:
-        cumulative = np.cumsum([move.gain for move in state.applied])
-        best = int(cumulative.max())
-        if best > 0:
-            state.prefix_length = int(np.argmax(cumulative)) + 1
-            state.prefix_gain = best
-            for move in state.applied[: state.prefix_length]:
-                result = apply_movement(result, move, mc)
+        # keep the first prefix whose cumulative gain is the largest positive one
+        running += move.gain
+        if running > state.prefix_gain:
+            result = work.copy()
+            state.prefix_length, state.prefix_gain = len(state.applied), running
     return result, state
 
 
@@ -362,13 +363,10 @@ def stage1_greedy(
     rng = random.Random(seed)
     n = hypergraph.n_vertices
     k = mc.k
-    mq = LogicalPhysicalMap(n, mc.m)
-    free_slots = {c: sorted(mc.qubits_of(c)) for c in range(k)}
-    for h in free_slots.values():
-        heapq.heapify(h)
+    _check_fits(n, mc.m)
+    free_slots = {c: mc.qubits_of(c) for c in range(k)}  # ascending, so heaps
     free = {c: len(free_slots[c]) for c in range(k)}
-    if sum(free.values()) < n:
-        raise ConfigError(f"device hosts {sum(free.values())} qubits, circuit needs {n}")
+    mq = LogicalPhysicalMap(n, mc.m)
     placed_ctl: dict[int, int] = {}
     placed_count = {c: 0 for c in range(k)}
     order = sorted(range(n), key=lambda q: (-hypergraph.degree(q), q))
@@ -409,6 +407,11 @@ def stage2_iterate(
     controller, so a pass on an empty controller would return its input;
     skipping it changes neither the result nor the tie order.
 
+    Each layout is priced once: the input through `total_cost_L`, a candidate
+    as its input's cost less its pass's prefix gain (an exact drop).  The
+    carried cost only falls, and one re-pricing of a refined result checks
+    it: a price other than the carried cost raises `RuntimeError`.
+
     Refinement stops at the certified bound `cidq.cost_lower_bound`: no sweep
     starts from a mapping that meets it, and a sweep runs no further pass once
     a candidate meets it.  Only a strictly lower cost is accepted, so neither
@@ -423,19 +426,20 @@ def stage2_iterate(
         return cost
 
     current = mq.copy()
-    current_cost = cost_of(current)
+    seed_cost = current_cost = cost_of(current)
     while current_cost > bound:
-        best, best_cost = None, current_cost
+        best, best_gain = None, 0
         for ci in sorted({mc.assignment[p] for p in current.forward}):
-            candidate, _ = run_pass(current, ci, ld, mc, topo, mode)
-            cost = cost_of(candidate)
-            if cost < best_cost:
-                best, best_cost = candidate, cost
-                if cost == bound:
+            candidate, state = run_pass(current, ci, ld, mc, topo, mode)
+            if state.prefix_gain > best_gain:
+                best, best_gain = candidate, state.prefix_gain
+                if current_cost - best_gain == bound:
                     break
         if best is None:
             break
-        current, current_cost = best, best_cost
+        current, current_cost = best, current_cost - best_gain
+    if current_cost < seed_cost and (priced := cost_of(current)) != current_cost:
+        raise RuntimeError(f"refined cost {priced} is not the carried cost {current_cost}")
     return current
 
 
@@ -450,21 +454,15 @@ def initial_placement(
     """Full placement: greedy seeding plus refinement to a fixpoint."""
     if mc.m != device.m:
         raise ConfigError(f"assignment covers {mc.m} qubits, device has {device.m}")
+    _check_fits(ld.n_qubits, mc.m)  # before the hypergraph, sized by the qubit count
     hyper = build_hypergraph(ld, ld.n_qubits)
-    seeded = stage1_greedy(mc, ld, hyper, seed)
-    refined = stage2_iterate(seeded, mc, ld, topo, mode)
-    seeded_cost = total_cost_L(ld, seeded, mc, topo, mode)
-    refined_cost = total_cost_L(ld, refined, mc, topo, mode)
-    if refined_cost > seeded_cost:
-        raise RuntimeError(
-            f"refinement lost to its seed: cost {refined_cost} > seeded {seeded_cost}"
-        )
-    return refined
+    return stage2_iterate(stage1_greedy(mc, ld, hyper, seed), mc, ld, topo, mode)
 
 
 def random_layout(n_qubits: int, m_physical: int, seed: int = 0) -> LogicalPhysicalMap:
     """Uniformly random complete layout (the baseline pipeline's stand-in for
     feedforward-aware placement)."""
+    _check_fits(n_qubits, m_physical)
     rng = random.Random(seed)
     mq = LogicalPhysicalMap(n_qubits, m_physical)
     for q, p in enumerate(rng.sample(range(m_physical), n_qubits)):

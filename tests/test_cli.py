@@ -699,6 +699,28 @@ class TestHopRange:
         assert "2**31 - 1" in capsys.readouterr().err
 
 
+class TestOversizedRegister:
+    """A register larger than the device is refused before anything sized by
+    its qubit count (hypergraph, layout) is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["transpile", "--mode", "class"], ["transpile", "--mode", "baseline"], ["place"]])
+    def test_exits_2_with_one_line_without_allocating(self, argv, tmp_path, capsys):
+        path = tmp_path / "big.qasm"
+        path.write_text("qreg q[100000000];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n"
+                        "if (c[0]==1) x q[1];\n")
+        tracemalloc.start()
+        try:
+            status = main([*argv, "--circuit", str(path), "--k", "4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: device hosts 127 qubits, circuit needs 100000000\n")
+        assert peak < 1_000_000, peak  # a list of 10**8 items alone takes 800 MB
+
+
 class TestTooManyControllers:
     """k > m is refused before any k x k hop matrix is built."""
 

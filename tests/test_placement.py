@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -174,7 +176,13 @@ class TestQubitMovingPass:
                 after = total_cost_L(ld, work, mc, topo, mode)
                 assert move.gain == cost - after
                 cost = after
-            assert total_cost_L(ld, out, mc, topo, mode) <= total_cost_L(ld, mq, mc, topo, mode)
+            # so the pass's result costs exactly its input less the prefix
+            # gain, and the prefix is the first maximum of the running gains
+            assert total_cost_L(ld, out, mc, topo, mode) == (
+                total_cost_L(ld, mq, mc, topo, mode) - state.prefix_gain)
+            cumulative = list(itertools.accumulate(move.gain for move in state.applied))
+            best = max(cumulative, default=0)
+            assert state.prefix_length == (cumulative.index(best) + 1 if best > 0 else 0)
 
     def test_pass_returns_copy(self):
         ld, topo, mc, mq = fig5_instance()
@@ -289,15 +297,36 @@ class TestInitialPlacement:
         mq = initial_placement(mc, ld, topo, device, mode="pair", seed=0)
         assert total_cost_L(ld, mq, mc, topo, "pair") == 0
 
-    def test_refinement_loss_raises(self, monkeypatch):
-        ld = CidqList((CidqSet(0, frozenset({0}), frozenset({1})),), 2)
-        topo, mc = uniform_setup(2, 2, 2)
-        from helpers import explicit_mapping
+    def test_overstated_gain_raises(self, monkeypatch):
+        # stage 2 carries each candidate's cost from its pass's prefix gain
+        # and re-prices a refined result once, which catches a wrong gain
+        ld, topo, mc, mq = fig5_instance()
 
-        worse = explicit_mapping([0, 2], 4)  # splits the set: cost 1, the seed costs 0
-        monkeypatch.setattr(placement, "stage2_iterate", lambda *args, **kwargs: worse)
-        with pytest.raises(RuntimeError, match="refinement lost to its seed"):
-            initial_placement(mc, ld, topo, line_device(4), mode="pair", seed=0)
+        def overstated(*args, **kwargs):
+            out, state = run_pass(*args, **kwargs)
+            state.prefix_gain += 1
+            return out, state
+
+        monkeypatch.setattr(placement, "run_pass", overstated)
+        with pytest.raises(RuntimeError, match="is not the carried cost"):
+            stage2_iterate(mq, mc, ld, topo, "pair")
+
+    @pytest.mark.parametrize("family, n, blocks, k, calls", [
+        ("dqft", 100, None, 5, 1),  # the seed meets the bound: no pass runs
+        ("random", 30, 30, 4, 2),  # refined: the seed and the result
+    ])
+    def test_prices_each_layout_once(self, family, n, blocks, k, calls, monkeypatch):
+        priced = []
+
+        def counted(*args, **kwargs):
+            priced.append(args)
+            return total_cost_L(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "total_cost_L", counted)
+        ld = extract_cidq_sets(generate(family, n, blocks, seed=0))
+        mc, topo = contiguous_assignment(127, k), star_topology(k)
+        initial_placement(mc, ld, topo, heavy_hex_127_device(), mode="pair", seed=0)
+        assert len(priced) == calls
 
     def test_device_size_mismatch_rejected(self):
         ld = extract_cidq_sets(generate("dqft", 4))
@@ -321,6 +350,16 @@ class TestRandomLayout:
             mq = random_layout(3, 12, seed=seed)
             seen.update(mq.physical(q) for q in range(3))
         assert seen == set(range(12))
+
+    def test_oversized_circuit_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^device hosts 127 qubits, circuit needs 100000000$"):
+                random_layout(10**8, 127)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak  # a list of 10**8 slots alone takes 800 MB
 
 
 # Physical homes of logical qubits 0..n-1 from initial_placement (seed 0) on
