@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 UNASSIGNED = -1
 MAX_HOP = 2**31 - 1  # keeps every ICCS sum well inside int64
 # DeviceGraph keeps an m x m distance table of Python ints, which grows as m**2
@@ -40,44 +42,60 @@ class ControllerTopology:
         k = self.k
         if k < 1:
             raise ConfigError("need at least one controller")
-        for row in self.hop:
-            if len(row) != k:
-                raise ConfigError("hop matrix must be square")
-        for i in range(k):
-            if self.hop[i][i] != 0:
+        if any(len(row) != k for row in self.hop):
+            raise ConfigError("hop matrix must be square")
+        hop = self._array()
+        diagonal = np.diagonal(hop) != 0
+        asymmetric = hop != hop.T
+        low = hop < 1
+        np.fill_diagonal(low, False)
+        high = hop > MAX_HOP
+        bad = asymmetric | low | high
+        rows = diagonal | bad.any(axis=1)
+        if rows.any():
+            # the first fault of a row-major scan: each row checks its diagonal
+            # first, then each entry's symmetry, lower bound and limit
+            i = int(rows.argmax())
+            j = int(bad[i].argmax())
+            if diagonal[i]:
                 raise ConfigError(f"hop[{i}][{i}] must be 0")
-            for j in range(k):
-                if self.hop[i][j] != self.hop[j][i]:
-                    raise ConfigError(f"hop matrix asymmetric at ({i},{j})")
-                if i != j and self.hop[i][j] < 1:
-                    raise ConfigError(f"hop[{i}][{j}] must be >= 1")
-                if self.hop[i][j] > MAX_HOP:
-                    raise ConfigError(
-                        f"hop[{i}][{j}] = {self.hop[i][j]} exceeds the limit 2**31 - 1"
-                    )
-        if self.is_uniform():
+            if asymmetric[i, j]:
+                raise ConfigError(f"hop matrix asymmetric at ({i},{j})")
+            if low[i, j]:
+                raise ConfigError(f"hop[{i}][{j}] must be >= 1")
+            raise ConfigError(f"hop[{i}][{j}] = {self.hop[i][j]} exceeds the limit 2**31 - 1")
+        if _is_uniform(hop):
             # one off-diagonal hop h >= 1 for every pair: a relay costs 2h >= h,
             # so the O(k**3) closure below could find nothing
             return
-        closure = [list(row) for row in self.hop]
-        for l in range(k):
-            for i in range(k):
-                for j in range(k):
-                    via = closure[i][l] + closure[l][j]
-                    if via < closure[i][j]:
-                        closure[i][j] = via
-        for i in range(k):
-            for j in range(k):
-                if closure[i][j] != self.hop[i][j]:
-                    raise ConfigError(
-                        f"triangle inequality violated at ({i},{j}): "
-                        f"hop {self.hop[i][j]} > relay {closure[i][j]}"
-                    )
+        closure = hop.copy()
+        for l in range(k):  # Floyd-Warshall: row and column l stay fixed in step l
+            np.minimum(closure, closure[:, l, None] + closure[l], out=closure)
+        shorter = closure != hop
+        if shorter.any():
+            i, j = divmod(int(shorter.argmax()), k)
+            raise ConfigError(
+                f"triangle inequality violated at ({i},{j}): "
+                f"hop {self.hop[i][j]} > relay {int(closure[i, j])}"
+            )
 
     def is_uniform(self) -> bool:
         """True when all off-diagonal hops share one value."""
-        vals = {self.hop[i][j] for i in range(self.k) for j in range(self.k) if i != j}
-        return len(vals) <= 1
+        return _is_uniform(self._array())
+
+    def _array(self) -> np.ndarray:
+        try:
+            return np.array(self.hop, dtype=np.int64)
+        except OverflowError:  # an entry past int64, which validate refuses by value
+            return np.array(self.hop, dtype=object)
+
+
+def _is_uniform(hop: np.ndarray) -> bool:
+    if len(hop) < 2:
+        return True
+    same = hop == hop[0, 1]
+    np.fill_diagonal(same, True)
+    return bool(same.all())
 
 
 def star_topology(k: int) -> ControllerTopology:

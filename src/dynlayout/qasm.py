@@ -23,8 +23,12 @@ line, except inside a "string".
 Parsing is statement-level: comments are dropped, the text is split at
 each `;`, and every statement must match one of the forms above (one
 compiled pattern, one alternative per form).  Register declarations come
-before the first operation.  A ParseError's line and column point at the
-first character of the offending statement.  serialize_circuit writes the
+before the first operation, so the registers are fixed before any operand
+is resolved: each distinct operand text (argument list, condition tests,
+angle) is checked and resolved once per parse, and the operations that
+repeat it share the resulting qubit tuple, condition or params.  A
+ParseError's line and column point at the first character of the
+offending statement.  serialize_circuit writes the
 OPENQASM and include header lines, so its output loads in standard
 OpenQASM 2 tools.
 """
@@ -57,7 +61,7 @@ _STATEMENT = re.compile(
       | (?P<reg>[qc])reg\s+(?P<name>{_ID})\s*\[\s*(?P<size>\d+)\s*\]
       | measure\s+(?P<measure>{_ARG}\s*->\s*{_ARG})
       | (?:if\s*\(\s*(?P<cond>{_TEST}(?:\s*&&\s*{_TEST})*)\s*\)\s*)?
-        (?P<op>{_ID})\s*(?:\((?P<angle>.*)\)\s*)?(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)
+        (?P<op>{_ID})\s*(?:(?P<angle>\(.*\))\s*)?(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)
     )\s*""",
     re.VERBOSE | re.DOTALL,
 )
@@ -141,6 +145,10 @@ def parse_circuit(text: str) -> Circuit:
     statements = text.split(";")
     regs: dict[str, tuple[str, int, int]] = {}  # name -> ("q" or "c", offset, size)
     ops: list[Operation] = []
+    # operand text -> its checked value; an argument list or a test list
+    # starts with a register name and only a test list holds "==", while an
+    # angle keeps its "(", so no two kinds share a key
+    memo: dict[str, object] = {}
     start = 0  # offset of the current statement
     try:
         version_is_semicolon = False
@@ -153,7 +161,7 @@ def parse_circuit(text: str) -> Circuit:
                 m = _STATEMENT.fullmatch(stmt)
                 if m is None:
                     raise ValueError(f"malformed statement {stmt.strip()[:40]!r}")
-                _statement(m, regs, ops)
+                _statement(m, regs, ops, memo)
                 version_is_semicolon = m["version"] == ""
             start += len(stmt) + 1
         if version_is_semicolon or statements[-1].strip():
@@ -169,13 +177,21 @@ def parse_circuit(text: str) -> Circuit:
     return circuit
 
 
-def _statement(m: re.Match, regs: dict[str, tuple[str, int, int]], ops: list[Operation]) -> None:
+def _statement(
+    m: re.Match, regs: dict[str, tuple[str, int, int]], ops: list[Operation], memo: dict
+) -> None:
     """Check one matched statement against the registers declared so far and
-    append its operation, if it has one.  Raises ValueError."""
+    append its operation, if it has one.  Raises ValueError.  An operand
+    whose text is in memo passed its checks before, against the same
+    registers (none may follow an operation), so its value is reused; only
+    values that pass are stored, so a bad operand fails at its own
+    statement, in the same check order."""
     name = m["op"]
     if name is not None:  # a gate, reset or barrier, maybe conditioned
-        angle, cond = m["angle"], m["cond"]
-        qubits = tuple(_index(regs, r, i, "q") for r, i, _ in _PARTS.findall(m["args"]))
+        angle, cond, args = m["angle"], m["cond"], m["args"]
+        qubits = memo.get(args)
+        if qubits is None:
+            qubits = memo[args] = tuple(_index(regs, r, i, "q") for r, i, _ in _PARTS.findall(args))
         if name == "barrier" and angle is None and cond is None:
             ops.append(Operation("barrier", qubits))
             return
@@ -189,13 +205,17 @@ def _statement(m: re.Match, regs: dict[str, tuple[str, int, int]], ops: list[Ope
             raise ValueError(f"{name} takes {want} angle(s)")
         condition = None
         if cond is not None:
-            tests = [(_index(regs, r, i, "c"), int(v)) for r, i, v in _PARTS.findall(cond)]
-            if any(v not in (0, 1) for _, v in tests):
-                raise ValueError("condition value must be 0 or 1")
-            if len({bit for bit, _ in tests}) != len(tests):
-                raise ValueError("repeated clbit in condition")
-            condition = frozenset(tests)
-        params = () if angle is None else (_angle(angle),)
+            condition = memo.get(cond)
+            if condition is None:
+                tests = [(_index(regs, r, i, "c"), int(v)) for r, i, v in _PARTS.findall(cond)]
+                if any(v not in (0, 1) for _, v in tests):
+                    raise ValueError("condition value must be 0 or 1")
+                if len({bit for bit, _ in tests}) != len(tests):
+                    raise ValueError("repeated clbit in condition")
+                condition = memo[cond] = frozenset(tests)
+        params = () if angle is None else memo.get(angle)
+        if params is None:
+            params = memo[angle] = (_angle(angle[1:-1]),)
         ops.append(Operation(name, qubits, params, condition=condition))
     elif m["measure"] is not None:
         (q, qi, _), (c, ci, _) = _PARTS.findall(m["measure"])

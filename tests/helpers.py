@@ -5,7 +5,7 @@ import random
 
 from dynlayout import LogicalPhysicalMap, contiguous_assignment, star_topology
 from dynlayout.cidq import CidqList, CidqSet
-from dynlayout.control import QubitControllerMap
+from dynlayout.control import MAX_HOP, ConfigError, QubitControllerMap
 
 
 def random_cidq_list(rng: random.Random, n_qubits: int, n_sets: int) -> CidqList:
@@ -74,3 +74,48 @@ def reference_set_cost(d: CidqSet, ctl_of: list[int], hop, mode: str) -> int:
     if mode == "pair":
         return sum(hop[cs][ct] for cs in set(src) for ct in set(tgt) if cs != ct)
     return sum(hop[cs][ct] for cs in src for ct in tgt if cs != ct)
+
+
+def reference_is_uniform(hop) -> bool:
+    """True when all off-diagonal hops share one value."""
+    k = len(hop)
+    return len({hop[i][j] for i in range(k) for j in range(k) if i != j}) <= 1
+
+
+def reference_validate_hops(hop) -> None:
+    """ControllerTopology.validate written out entry by entry: the reference
+    its numpy checks must match, error for error.  Scans row-major; each row
+    checks its diagonal, then each entry's symmetry, lower bound and limit;
+    then the triangle inequality against the Floyd-Warshall closure."""
+    k = len(hop)
+    if k < 1:
+        raise ConfigError("need at least one controller")
+    for row in hop:
+        if len(row) != k:
+            raise ConfigError("hop matrix must be square")
+    for i in range(k):
+        if hop[i][i] != 0:
+            raise ConfigError(f"hop[{i}][{i}] must be 0")
+        for j in range(k):
+            if hop[i][j] != hop[j][i]:
+                raise ConfigError(f"hop matrix asymmetric at ({i},{j})")
+            if i != j and hop[i][j] < 1:
+                raise ConfigError(f"hop[{i}][{j}] must be >= 1")
+            if hop[i][j] > MAX_HOP:
+                raise ConfigError(f"hop[{i}][{j}] = {hop[i][j]} exceeds the limit 2**31 - 1")
+    if reference_is_uniform(hop):
+        return
+    closure = [list(row) for row in hop]
+    for l in range(k):
+        for i in range(k):
+            for j in range(k):
+                via = closure[i][l] + closure[l][j]
+                if via < closure[i][j]:
+                    closure[i][j] = via
+    for i in range(k):
+        for j in range(k):
+            if closure[i][j] != hop[i][j]:
+                raise ConfigError(
+                    f"triangle inequality violated at ({i},{j}): "
+                    f"hop {hop[i][j]} > relay {closure[i][j]}"
+                )

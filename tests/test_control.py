@@ -21,11 +21,14 @@ from dynlayout import (
 )
 from dynlayout.control import (
     MAX_DEVICE_QUBITS,
+    MAX_HOP,
     UNASSIGNED,
+    ControllerTopology,
     DeviceGraph,
     QubitControllerMap,
     grid_device,
 )
+from helpers import random_metric_hops, reference_is_uniform, reference_validate_hops
 
 
 class TestControllerTopology:
@@ -67,6 +70,53 @@ class TestControllerTopology:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ConfigError):
             matrix_topology([[1, 1], [1, 0]]).validate()
+
+
+@st.composite
+def damaged_hops(draw):
+    """A valid hop matrix (metric or uniform) with up to four faults: an
+    asymmetric entry, a non-zero diagonal, a hop below 1, a hop over the
+    limit (two of the values do not fit int64) or a lengthened pair, which
+    breaks the triangle inequality when a relay is shorter."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        hop = random_metric_hops(random.Random(draw(st.integers(0, 10**6))), k)
+    else:
+        h = draw(st.integers(1, 3))
+        hop = [[0 if i == j else h for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, k - 1))
+        j = (i + draw(st.integers(1, k - 1))) % k if k > 1 else i  # off the diagonal
+        fault = draw(st.sampled_from(["asymmetry", "diagonal", "low", "limit", "triangle"]))
+        if fault == "asymmetry":
+            hop[i][j] += draw(st.integers(1, 3))
+        elif fault == "diagonal":
+            hop[i][i] = draw(st.integers(-2, 3))
+        elif fault == "low":
+            hop[i][j] = hop[j][i] = draw(st.sampled_from([0, -1, -(10**30)]))
+        elif fault == "limit":
+            hop[i][j] = draw(st.sampled_from([MAX_HOP, MAX_HOP + 1, 2**63, 10**30]))
+            if draw(st.booleans()):
+                hop[j][i] = hop[i][j]
+        else:
+            hop[i][j] = hop[j][i] = hop[i][j] + draw(st.integers(1, 6))
+    return tuple(tuple(row) for row in hop)
+
+
+def _error(check) -> str | None:
+    try:
+        check()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(damaged_hops())
+def test_validate_matches_the_reference_loop(hop):
+    topo = ControllerTopology(hop)
+    assert _error(topo.validate) == _error(lambda: reference_validate_hops(hop))
+    assert topo.is_uniform() == reference_is_uniform(hop)
 
 
 class TestDeviceGraph:
@@ -207,6 +257,14 @@ class TestLoadTopology:
         )
         assert mc.assignment[2] == 1
         assert topo.hop[0][1] == 2
+
+    def test_hop_past_int64_exceeds_the_limit(self):
+        message = f"hop[0][1] = {10**30} exceeds the limit 2**31 - 1"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_topology({
+                "controllers": {"kind": "matrix", "hop": [[0, 10**30], [10**30, 0]]},
+                "device": {"kind": "line", "m": 4},
+            })
 
     def test_edge_list_of_a_line_is_the_line(self, tmp_path):
         path = tmp_path / "line.txt"

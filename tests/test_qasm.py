@@ -1,11 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlayout import CircuitError, ParseError, generate, parse_circuit, serialize_circuit
+from dynlayout import CircuitError, ParseError, generate, parse_circuit, qasm, serialize_circuit
 from dynlayout.circuit import Circuit, Operation
 
 GOLDEN = """\
@@ -105,6 +106,49 @@ class TestErrors:
             assert exc.line == line
         else:
             pytest.fail("expected ParseError")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[0];\n"
+                "if (c[0]==1) x q[1];\nif (c[0]==1) x q[1];\nif (c[0]==2) x q[1];\n",
+                "line 7, col 1: condition value must be 0 or 1",
+            ),
+            (
+                "OPENQASM 2.0;\nqreg q[2];\nh q[1];\nh q[1];\nh q[2];\n",
+                "line 5, col 1: index 2 out of range for q[2]",
+            ),
+            (
+                "qreg q[2];\nh q[1];\nh q[1];\nqreg r[1];\n",
+                "line 4, col 1: register declarations must precede operations",
+            ),
+        ],
+        ids=["condition-value", "index-out-of-range", "late-register"],
+    )
+    def test_error_after_repeated_operands_keeps_its_position(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_circuit(text)
+        assert str(caught.value) == message
+
+
+def test_each_distinct_operand_is_resolved_once(monkeypatch):
+    text = serialize_circuit(generate("dqft", 100))
+    evaluated = []
+    evaluate = qasm._angle
+
+    def counting_angle(angle):
+        evaluated.append(angle)
+        return evaluate(angle)
+
+    monkeypatch.setattr(qasm, "_angle", counting_angle)
+    c = parse_circuit(text)
+    angles = set(re.findall(r"u1\((.*?)\) ", text))
+    assert sorted(evaluated) == sorted(angles)
+    # ops with the same operand text share one object
+    for field in ("qubits", "params", "condition"):
+        values = [getattr(op, field) for op in c.ops if op.name == "u1"]
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_serialized_text_starts_with_openqasm_header():
