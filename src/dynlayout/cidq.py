@@ -218,8 +218,8 @@ def cost_lower_bound(
     """
     if mode not in COST_MODES:
         raise ValueError(f"cost mode must be one of {COST_MODES}, got {mode!r}")
-    k = topo.k
-    h_min = min((topo.hop[a][b] for a in range(k) for b in range(k) if a != b), default=0)
+    # each row's entries either side of its diagonal
+    h_min = min(min(row[:i] + row[i + 1 :]) for i, row in enumerate(topo.hop)) if topo.k > 1 else 0
     capacity = np.sort(np.bincount(mc.assignment, minlength=mc.k))[::-1]
     sizes = np.array([len(d.qubits) for d in ld], dtype=np.int64)
     if mode == "pair":

@@ -141,11 +141,13 @@ class Circuit:
                 written.add(op.clbit)
         object.__setattr__(self, "_valid", True)
 
-    def derived(self, name: str, build):
-        """build(self), run on the first call for name and recorded for later calls."""
+    def derived(self, name: str, build, *args):
+        """build(self, *args), run on the first call for name and recorded for
+        later calls (the DAG, the dependency sets and the router's table of
+        the sets each op reads for are recorded so)."""
         value = self.__dict__.get(name)
         if value is None:
-            value = build(self)
+            value = build(self, *args)
             object.__setattr__(self, name, value)
         return value
 

@@ -100,14 +100,20 @@ def _is_uniform(hop: np.ndarray) -> bool:
 
 def star_topology(k: int) -> ControllerTopology:
     """Controllers fully meshed through a shared link: hop 1 between any pair."""
-    topo = ControllerTopology(tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k)))
-    topo.validate()
-    return topo
+    return _uniform_topology(k, 1)
 
 
 def star_via_router_topology(k: int) -> ControllerTopology:
     """Controllers joined only through a central router: hop 2 between any pair."""
-    topo = ControllerTopology(tuple(tuple(0 if i == j else 2 for j in range(k)) for i in range(k)))
+    return _uniform_topology(k, 2)
+
+
+def _uniform_topology(k: int, h: int) -> ControllerTopology:
+    """Hop h between any two of k controllers.  Row i is one slice of a
+    constant row of 2k - 1 entries with its 0 in the middle."""
+    line = (h,) * (k - 1)
+    line = line + (0,) + line
+    topo = ControllerTopology(tuple(line[k - 1 - i : 2 * k - 1 - i] for i in range(k)))
     topo.validate()
     return topo
 

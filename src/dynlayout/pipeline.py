@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from .circuit import Circuit, depth
+from .circuit import Circuit
 from .cidq import extract_cidq_sets
 from .control import (
     ControllerTopology,
@@ -22,7 +22,7 @@ from .control import (
     QubitControllerMap,
 )
 from .placement import initial_placement, random_layout
-from .scheduler import RoutedCircuit, accumulate_iccs, schedule
+from .scheduler import RoutedCircuit, schedule
 
 SCHEMA_VERSION = 1
 MODES = ("class", "baseline")
@@ -86,22 +86,23 @@ def run_pipeline(
     """Place (unless a layout is supplied), route, and measure one circuit.
 
     The circuit's DAG and dependency sets are built on its first compile and
-    kept on it, so compiling one circuit several times builds them once.
+    kept on it, so compiling one circuit several times builds them once.  The
+    report's numbers are the ones the router emitted; the routed circuit is
+    built only if the caller reads routed.circuit.
     """
     t0 = time.perf_counter()
     if layout is None:
         layout = build_layout(circuit, mc, topo, device, mode, seed, cost_mode)
     tie_break = "iccs" if mode == "class" else "random"
     routed = schedule(circuit, layout, mc, topo, device, cost_mode, seed, tie_break)
-    iccs = accumulate_iccs(routed, mc, topo, cost_mode)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     report = MetricsReport(
         mode=mode,
         seed=seed,
         cost_mode=cost_mode,
-        operations=routed.circuit.count_ops(),
-        depth=depth(routed.circuit),
-        iccs=iccs,
+        operations=routed.operations,
+        depth=routed.depth,
+        iccs=routed.iccs,
         swaps_inserted=routed.swaps_inserted,
         runtime_ms=runtime_ms,
         config={

@@ -43,6 +43,12 @@ class TestControllerTopology:
         assert topo.hop[0][1] == 2
         assert topo.is_uniform()
 
+    def test_star_rows_as_built_entry_by_entry(self):
+        for k in range(1, 41):
+            for build, h in ((star_topology, 1), (star_via_router_topology, 2)):
+                assert build(k).hop == tuple(
+                    tuple(0 if i == j else h for j in range(k)) for i in range(k))
+
     def test_matrix_validation_rejects_asymmetry(self):
         with pytest.raises(ConfigError):
             matrix_topology([[0, 1], [2, 0]]).validate()

@@ -497,6 +497,24 @@ class TestLowerBound:
         one = star_topology(1)
         assert cost_lower_bound(ld, contiguous_assignment(8, 1), one, "pair") == 0
 
+    def test_h_min_is_the_smallest_off_diagonal_hop(self):
+        # the bound is h_min times the count that hop 1 everywhere gives;
+        # here h_min comes from a scan of all k**2 off-diagonal pairs
+        def scanned_bound(ld, mc, topo, mode):
+            k = topo.k
+            h_min = min((topo.hop[a][b] for a in range(k) for b in range(k) if a != b), default=0)
+            return h_min * cost_lower_bound(ld, mc, star_topology(k), mode)
+
+        rng = random.Random(2024)
+        cases = [(star_topology(1), contiguous_assignment(6, 1))]
+        for _ in range(40):
+            k = rng.randint(2, 6)
+            cases.append((matrix_topology(random_metric_hops(rng, k)), contiguous_assignment(3 * k, k)))
+        for topo, mc in cases:
+            ld = random_cidq_list(rng, mc.m, 5)
+            for mode in ("pair", "per_target"):
+                assert cost_lower_bound(ld, mc, topo, mode) == scanned_bound(ld, mc, topo, mode)
+
     def test_unknown_mode_rejected(self):
         topo, mc = uniform_setup(4, 2, 2)
         with pytest.raises(ValueError):

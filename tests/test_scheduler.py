@@ -19,9 +19,9 @@ from dynlayout import (
     total_cost_L,
 )
 from dynlayout.cidq import CidqList, CidqSet
-from dynlayout.circuit import Circuit, Operation
+from dynlayout.circuit import Circuit, Operation, depth
 from dynlayout.control import grid_device
-from dynlayout.pipeline import build_layout
+from dynlayout.pipeline import build_layout, run_pipeline
 from dynlayout.placement import random_layout
 from dynlayout.scheduler import (
     RoutedCircuit,
@@ -32,7 +32,7 @@ from dynlayout.scheduler import (
     iccs_score,
     obtain_swaps,
     schedule,
-    target_owners,
+    read_rows,
 )
 from helpers import explicit_mapping
 
@@ -56,23 +56,28 @@ def route_benchmark(fam, n, seed, device, k, tie_break="iccs", blocks=None):
 
 class TestObtainSwaps:
     def test_edges_incident_to_front_qubits(self):
+        # the qubits of a front cx(0, 3) on a 5-line
         dev = line_device(5)
-        c = Circuit(5, 0, (Operation("cx", (0, 3)),))
         mq = identity_mapping(5, 5)
-        swaps = obtain_swaps(list(c.ops), mq, dev)
+        swaps = obtain_swaps([0, 3], mq, dev)
         assert swaps == [(0, 1), (2, 3), (3, 4)]
 
     def test_deduplicates_shared_edge(self):
+        # the qubits of a front cx(0, 1), cx(1, 2): qubits 0 and 1 both touch edge (0, 1)
         dev = line_device(3)
-        c = Circuit(3, 0, (Operation("cx", (0, 1)), Operation("cx", (1, 2))))
         mq = identity_mapping(3, 3)
-        swaps = obtain_swaps(list(c.ops), mq, dev)
+        swaps = obtain_swaps([0, 1, 2], mq, dev)
         assert swaps == [(0, 1), (1, 2)]
 
-    def test_single_qubit_front_contributes_nothing(self):
+    def test_follows_the_mapping(self):
+        dev = line_device(4)
+        mq = explicit_mapping([3, 0, 1, 2], 4)
+        assert obtain_swaps([0], mq, dev) == [(2, 3)]
+
+    def test_no_qubits_no_candidates(self):
         dev = line_device(3)
         mq = identity_mapping(3, 3)
-        assert obtain_swaps([Operation("h", (0,))], mq, dev) == []
+        assert obtain_swaps([], mq, dev) == []
 
 
 class TestDepthCost:
@@ -134,7 +139,7 @@ class TestActiveSets:
         # front = first op (measure q0 comes second; execute h first)
         # find the measure of q0 and use it as the front
         measure_idx = next(i for i, op in enumerate(c.ops) if op.is_measure)
-        active = active_cidq_sets([measure_idx], dag, target_owners(ld))
+        active = active_cidq_sets([measure_idx], dag, ld, read_rows(c))
         assert [d.id for d in active] == [0]
 
     def test_deduplicates_sets(self):
@@ -147,14 +152,14 @@ class TestActiveSets:
         c.validate()
         dag = build_dag(c)
         ld = extract_cidq_sets(c)
-        active = active_cidq_sets([0], dag, target_owners(ld))
+        active = active_cidq_sets([0], dag, ld, read_rows(c))
         assert len(active) == 1
 
     def test_static_window_empty(self):
         c = Circuit(2, 0, (Operation("cx", (0, 1)),))
         dag = build_dag(c)
         ld = extract_cidq_sets(c)
-        assert active_cidq_sets([0], dag, target_owners(ld)) == []
+        assert active_cidq_sets([0], dag, ld, read_rows(c)) == []
 
 
 class TestIccsScore:
@@ -330,7 +335,7 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, tie_br
     mq = random_layout(n, dev.m, seed=seed)
     mc, topo = contiguous_assignment(dev.m, 3), star_topology(3)
     ld = extract_cidq_sets(c)
-    owners = target_owners(ld)
+    rows = read_rows(c)
     routed = schedule(c, mq, mc, topo, dev, cost_mode=mode, seed=seed, tie_break=tie_break)
     indeg = [len(dag.pred[i]) for i in range(dag.n_nodes)]
     front = set(dag.front_layer())
@@ -348,7 +353,8 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, tie_br
         if not decision.forced:
             nodes = sorted(front)
             costs = {}
-            for cand in obtain_swaps([c.ops[i] for i in nodes], mq, dev):
+            qubits = {q for i in nodes if c.ops[i].is_two_qubit for q in c.ops[i].qubits}
+            for cand in obtain_swaps(qubits, mq, dev):
                 mq.swap_physical(*cand)
                 costs[cand] = depth_cost(nodes, dag, dev, mq)
                 assert costs[cand] == reference_depth_cost(nodes, dag, dev, mq)
@@ -357,7 +363,7 @@ def test_argmin_matches_brute_force_depth_cost(device_name, seed, blocks, tie_br
             assert decision.depth_argmin == tuple(x for x in costs if costs[x] == best)
             assert costs[decision.chosen] == best
             if tie_break == "iccs" and len(decision.depth_argmin) > 1:
-                active = active_cidq_sets(nodes, dag, owners)
+                active = active_cidq_sets(nodes, dag, ld, rows)
                 comm = {}
                 for cand in decision.depth_argmin:
                     mq.swap_physical(*cand)
@@ -442,6 +448,90 @@ def test_pinned_routes_are_valid_circuits(pinned_routes):
         routed.circuit.validate()
 
 
+def assert_emitted_numbers(routed, mc, topo, mode):
+    """The op count, depth and ICCS the router emitted are those its routed
+    circuit has by their reference definitions."""
+    assert routed.operations == routed.circuit.count_ops()
+    assert routed.depth == depth(routed.circuit)
+    assert routed.iccs == accumulate_iccs(routed, mc, topo, mode)
+
+
+def test_pinned_routes_emit_reference_numbers(pinned_routes):
+    for (_, k, *_), routed in pinned_routes.items():
+        m = routed.initial_mapping.m
+        assert_emitted_numbers(routed, contiguous_assignment(m, k), star_topology(k), "pair")
+
+
+def test_routed_circuit_built_on_first_read():
+    """run_pipeline reports from what the router emitted, so the routed
+    circuit is first built when read; it is then the pinned circuit, kept."""
+    cell = ("line8", 2, "random", 8, 10, "class", 0)
+    name, k, fam, n, blocks, mode, seed = cell
+    dev = PIN_DEVICES[name]()
+    c = generate(fam, n, n_blocks=blocks, seed=0)
+    mc, topo = contiguous_assignment(dev.m, k), star_topology(k)
+    routed, report = run_pipeline(c, mc, topo, dev, mode=mode, seed=seed)
+    assert "circuit" not in vars(routed)
+    assert routing_digest(routed) == PINNED_ROUTES[cell]
+    assert vars(routed)["circuit"] is routed.circuit
+    assert (report.operations, report.depth, report.iccs) == (
+        routed.circuit.count_ops(), depth(routed.circuit), accumulate_iccs(routed, mc, topo))
+
+
+@st.composite
+def dynamic_circuits(draw, max_qubits):
+    """Circuits of gates, measures, resets and barriers, with conditions on
+    one or more written clbits and clbits measured again."""
+    n = draw(st.integers(2, max_qubits))
+    n_clbits = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1)
+    written: list[int] = []
+    ops = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["1q", "2q", "2q", "measure", "reset", "barrier"]))
+        if kind == "measure":
+            bit = draw(st.integers(0, n_clbits - 1))
+            ops.append(Operation("measure", (draw(qubit),), (), bit))
+            if bit not in written:
+                written.append(bit)
+            continue
+        if kind == "barrier":
+            ops.append(Operation("barrier", tuple(draw(st.sets(qubit, min_size=1)))))
+            continue
+        condition = None
+        if written and draw(st.booleans()):
+            bits = draw(st.lists(st.sampled_from(written), min_size=1, unique=True))
+            condition = frozenset((bit, draw(st.integers(0, 1))) for bit in bits)
+        if kind == "1q":
+            name = draw(st.sampled_from(["h", "x", "z", "u1"]))
+            params = (0.5,) if name == "u1" else ()
+            ops.append(Operation(name, (draw(qubit),), params, None, condition))
+        elif kind == "reset":
+            ops.append(Operation("reset", (draw(qubit),), (), None, condition))
+        else:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            ops.append(Operation(draw(st.sampled_from(["cx", "cz", "swap"])), (a, b), (), None, condition))
+    return Circuit(n, n_clbits, tuple(ops))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(PROPERTY_DEVICES)),
+    st.data(),
+    st.integers(0, 10**6),
+    st.sampled_from(["iccs", "random"]),
+    st.sampled_from(["pair", "per_target"]),
+)
+def test_emitted_numbers_match_reference(device_name, data, seed, tie_break, mode):
+    dev = PROPERTY_DEVICES[device_name]
+    c = data.draw(dynamic_circuits(min(6, dev.m)))
+    k = data.draw(st.integers(1, 3))
+    mc, topo = contiguous_assignment(dev.m, k), star_topology(k)
+    mq = random_layout(c.n_qubits, dev.m, seed=seed)
+    routed = schedule(c, mq, mc, topo, dev, cost_mode=mode, seed=seed, tie_break=tie_break)
+    assert_emitted_numbers(routed, mc, topo, mode)
+
+
 class TestAccumulate:
     def test_swap_between_measure_and_conditional_charges_new_controller(self):
         # 3-op scenario: measure q0, swap q1 across the boundary, conditional x(q1)
@@ -458,19 +548,22 @@ class TestAccumulate:
         mc = contiguous_assignment(4, 2)
         topo = star_topology(2)
         init = explicit_mapping([0, 1], 4)  # both on controller 0
-        routed_ops = (
-            Operation("measure", (0,), (), 0, None),
-            Operation("swap", (1, 2)),
-            Operation("x", (2,), (), None, frozenset({(0, 1)})),
-        )
         routed = RoutedCircuit(
-            circuit=Circuit(4, 1, routed_ops),
             source=source,
             initial_mapping=init,
             final_mapping=explicit_mapping([0, 2], 4),
             log=(("op", 0), ("swap", 1, 2), ("op", 1)),
             decisions=(),
+            operations=3,
+            depth=2,
+            iccs=1,
         )
+        assert routed.circuit.ops == (
+            Operation("measure", (0,), (), 0, None),
+            Operation("swap", (1, 2)),
+            Operation("x", (2,), (), None, frozenset({(0, 1)})),
+        )
+        assert_emitted_numbers(routed, mc, topo, "pair")
         # statically zero, but the delivery happened across the boundary
         assert total_cost_L(ld, init, mc, topo, "pair") == 0
         assert accumulate_iccs(routed, mc, topo, "pair") == 1
@@ -493,21 +586,21 @@ class TestAccumulate:
         topo = star_topology(2)
         init = explicit_mapping([0, 3], 4)  # q0 ctl0, q1 ctl1: one crossing
         routed = RoutedCircuit(
-            circuit=Circuit(
-                4,
-                1,
-                (
-                    Operation("measure", (0,), (), 0, None),
-                    Operation("swap", (0, 2)),
-                    Operation("x", (3,), (), None, frozenset({(0, 1)})),
-                ),
-            ),
             source=source,
             initial_mapping=init,
             final_mapping=explicit_mapping([2, 3], 4),
             log=(("op", 0), ("swap", 0, 2), ("op", 1)),
             decisions=(),
+            operations=3,
+            depth=2,
+            iccs=1,
         )
+        assert routed.circuit.ops == (
+            Operation("measure", (0,), (), 0, None),
+            Operation("swap", (0, 2)),
+            Operation("x", (3,), (), None, frozenset({(0, 1)})),
+        )
+        assert_emitted_numbers(routed, mc, topo, "pair")
         # after the swap q0 sits with q1 on controller 1, but the outcome was
         # produced on controller 0 and still has to travel
         assert accumulate_iccs(routed, mc, topo, "pair") == 1
@@ -529,22 +622,22 @@ class TestAccumulate:
         topo = star_topology(3)
         init = explicit_mapping([0, 2], 6)
         routed = RoutedCircuit(
-            circuit=Circuit(
-                6,
-                1,
-                (
-                    Operation("measure", (0,), (), 0, None),
-                    Operation("x", (2,), (), None, frozenset({(0, 1)})),
-                    Operation("swap", (2, 4)),
-                    Operation("x", (4,), (), None, frozenset({(0, 1)})),
-                ),
-            ),
             source=source,
             initial_mapping=init,
             final_mapping=explicit_mapping([0, 4], 6),
             log=(("op", 0), ("op", 1), ("swap", 2, 4), ("op", 2)),
             decisions=(),
+            operations=4,
+            depth=4,
+            iccs=2,
         )
+        assert routed.circuit.ops == (
+            Operation("measure", (0,), (), 0, None),
+            Operation("x", (2,), (), None, frozenset({(0, 1)})),
+            Operation("swap", (2, 4)),
+            Operation("x", (4,), (), None, frozenset({(0, 1)})),
+        )
+        assert_emitted_numbers(routed, mc, topo, "pair")
         assert total_cost_L(ld, init, mc, topo, "per_target") == 1
         assert accumulate_iccs(routed, mc, topo, "pair") == 2
         assert accumulate_iccs(routed, mc, topo, "per_target") == 2
