@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .control import ControllerTopology, LogicalPhysicalMap, QubitControllerMap
+from .control import MAX_HOP, ControllerTopology, LogicalPhysicalMap, QubitControllerMap
 
 COST_MODES = ("pair", "per_target")
 
@@ -160,7 +160,7 @@ def population_cost(scnt, tcnt, hop, mode: str = "pair") -> np.ndarray:
         raise ValueError(f"cost mode must be one of {COST_MODES}, got {mode!r}")
     if mode == "pair":
         scnt, tcnt = scnt > 0, tcnt > 0
-    return np.einsum("...d,...d->...", scnt @ np.asarray(hop, dtype=np.int64), tcnt)
+    return np.einsum("...d,...d->...", scnt @ hop, tcnt)
 
 
 def controllers(mq: LogicalPhysicalMap, mc: QubitControllerMap) -> np.ndarray:
@@ -218,8 +218,8 @@ def cost_lower_bound(
     """
     if mode not in COST_MODES:
         raise ValueError(f"cost mode must be one of {COST_MODES}, got {mode!r}")
-    # each row's entries either side of its diagonal
-    h_min = min(min(row[:i] + row[i + 1 :]) for i, row in enumerate(topo.hop)) if topo.k > 1 else 0
+    off_diagonal = ~np.eye(topo.k, dtype=bool)
+    h_min = int(topo.hop.min(where=off_diagonal, initial=MAX_HOP)) if topo.k > 1 else 0
     capacity = np.sort(np.bincount(mc.assignment, minlength=mc.k))[::-1]
     sizes = np.array([len(d.qubits) for d in ld], dtype=np.int64)
     if mode == "pair":

@@ -20,74 +20,33 @@ class ConfigError(ValueError):
     """Raised for malformed topology/device/assignment configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerTopology:
     """k controllers with a symmetric hop-distance matrix between them.
 
-    hop[i][j] is the number of communication steps needed to forward one
-    measurement outcome from controller i to controller j.  The matrix must
-    have a zero diagonal, be symmetric, have off-diagonal entries in
-    1..MAX_HOP (2**31 - 1), and satisfy the triangle inequality (checked
-    against its Floyd-Warshall closure, i.e. relaying through a third
-    controller can never be cheaper).
+    hop[i, j] is the number of communication steps needed to forward one
+    measurement outcome from controller i to controller j: a read-only,
+    symmetric (k, k) int64 array with a zero diagonal, off-diagonal entries
+    in 1..MAX_HOP (2**31 - 1) and no relay through a third controller
+    cheaper than a direct hop.  `matrix_topology` checks a caller's rows
+    into one; the uniform builders are valid by construction.
     """
 
-    hop: tuple[tuple[int, ...], ...]
+    hop: np.ndarray
+
+    def __post_init__(self):
+        self.hop.setflags(write=False)
+
+    def __reduce__(self):  # a pickled array comes back writable
+        return ControllerTopology, (self.hop,)
 
     @property
     def k(self) -> int:
         return len(self.hop)
 
-    def validate(self) -> None:
-        k = self.k
-        if k < 1:
-            raise ConfigError("need at least one controller")
-        if any(len(row) != k for row in self.hop):
-            raise ConfigError("hop matrix must be square")
-        hop = self._array()
-        diagonal = np.diagonal(hop) != 0
-        asymmetric = hop != hop.T
-        low = hop < 1
-        np.fill_diagonal(low, False)
-        high = hop > MAX_HOP
-        bad = asymmetric | low | high
-        rows = diagonal | bad.any(axis=1)
-        if rows.any():
-            # the first fault of a row-major scan: each row checks its diagonal
-            # first, then each entry's symmetry, lower bound and limit
-            i = int(rows.argmax())
-            j = int(bad[i].argmax())
-            if diagonal[i]:
-                raise ConfigError(f"hop[{i}][{i}] must be 0")
-            if asymmetric[i, j]:
-                raise ConfigError(f"hop matrix asymmetric at ({i},{j})")
-            if low[i, j]:
-                raise ConfigError(f"hop[{i}][{j}] must be >= 1")
-            raise ConfigError(f"hop[{i}][{j}] = {self.hop[i][j]} exceeds the limit 2**31 - 1")
-        if _is_uniform(hop):
-            # one off-diagonal hop h >= 1 for every pair: a relay costs 2h >= h,
-            # so the O(k**3) closure below could find nothing
-            return
-        closure = hop.copy()
-        for l in range(k):  # Floyd-Warshall: row and column l stay fixed in step l
-            np.minimum(closure, closure[:, l, None] + closure[l], out=closure)
-        shorter = closure != hop
-        if shorter.any():
-            i, j = divmod(int(shorter.argmax()), k)
-            raise ConfigError(
-                f"triangle inequality violated at ({i},{j}): "
-                f"hop {self.hop[i][j]} > relay {int(closure[i, j])}"
-            )
-
     def is_uniform(self) -> bool:
         """True when all off-diagonal hops share one value."""
-        return _is_uniform(self._array())
-
-    def _array(self) -> np.ndarray:
-        try:
-            return np.array(self.hop, dtype=np.int64)
-        except OverflowError:  # an entry past int64, which validate refuses by value
-            return np.array(self.hop, dtype=object)
+        return _is_uniform(self.hop)
 
 
 def _is_uniform(hop: np.ndarray) -> bool:
@@ -109,19 +68,60 @@ def star_via_router_topology(k: int) -> ControllerTopology:
 
 
 def _uniform_topology(k: int, h: int) -> ControllerTopology:
-    """Hop h between any two of k controllers.  Row i is one slice of a
-    constant row of 2k - 1 entries with its 0 in the middle."""
-    line = (h,) * (k - 1)
-    line = line + (0,) + line
-    topo = ControllerTopology(tuple(line[k - 1 - i : 2 * k - 1 - i] for i in range(k)))
-    topo.validate()
-    return topo
+    """Hop h between any two of k controllers: valid by construction, so it
+    skips matrix_topology's check."""
+    if k < 1:
+        raise ConfigError("need at least one controller")
+    hop = np.full((k, k), h, dtype=np.int64)
+    np.fill_diagonal(hop, 0)
+    return ControllerTopology(hop)
 
 
-def matrix_topology(hop) -> ControllerTopology:
-    topo = ControllerTopology(tuple(tuple(int(x) for x in row) for row in hop))
-    topo.validate()
-    return topo
+def matrix_topology(rows) -> ControllerTopology:
+    """The checked topology of a caller's hop rows, or the first fault."""
+    rows = [[int(x) for x in row] for row in rows]
+    k = len(rows)
+    if k < 1:
+        raise ConfigError("need at least one controller")
+    if any(len(row) != k for row in rows):
+        raise ConfigError("hop matrix must be square")
+    try:
+        hop = np.array(rows, dtype=np.int64)
+    except OverflowError:  # an entry past int64, which the scan below names by value
+        hop = np.array(rows, dtype=object)
+    diagonal = np.diagonal(hop) != 0
+    asymmetric = hop != hop.T
+    low = hop < 1
+    np.fill_diagonal(low, False)
+    high = hop > MAX_HOP
+    bad = asymmetric | low | high
+    faulty = diagonal | bad.any(axis=1)
+    if faulty.any():
+        # the first fault of a row-major scan: each row checks its diagonal
+        # first, then each entry's symmetry, lower bound and limit
+        i = int(faulty.argmax())
+        j = int(bad[i].argmax())
+        if diagonal[i]:
+            raise ConfigError(f"hop[{i}][{i}] must be 0")
+        if asymmetric[i, j]:
+            raise ConfigError(f"hop matrix asymmetric at ({i},{j})")
+        if low[i, j]:
+            raise ConfigError(f"hop[{i}][{j}] must be >= 1")
+        raise ConfigError(f"hop[{i}][{j}] = {rows[i][j]} exceeds the limit 2**31 - 1")
+    if not _is_uniform(hop):
+        # one off-diagonal hop h >= 1 for every pair would pass: a relay costs
+        # 2h >= h, so the O(k**3) closure could find nothing
+        closure = hop.copy()
+        for l in range(k):  # Floyd-Warshall: row and column l stay fixed in step l
+            np.minimum(closure, closure[:, l, None] + closure[l], out=closure)
+        shorter = closure != hop
+        if shorter.any():
+            i, j = divmod(int(shorter.argmax()), k)
+            raise ConfigError(
+                f"triangle inequality violated at ({i},{j}): "
+                f"hop {rows[i][j]} > relay {int(closure[i, j])}"
+            )
+    return ControllerTopology(hop)
 
 
 class DeviceGraph:

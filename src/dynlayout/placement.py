@@ -18,14 +18,14 @@ are priced through `total_cost_L`, the latter once, as a check.
 Movement gains come from per-set controller populations, the input of the
 cost kernel `cidq.population_cost`.  A moving qubit shifts them by a vector
 fixed by its role in the set (source, target or both) and the controller it
-trades with the pass controller, so each apply-loop iteration calls the
-kernel three times over all sets: per (set, role, controller) for a qubit
-leaving the pass controller, for one arriving, and per (set, role pair,
-controller) for both at once.  It then sums those table entries, in exact
-integers, over the set memberships of the qubits that can still move and of
-their possible exchange partners only.  The cost of one iteration grows with
-those memberships, not with the number of candidate movements times set
-sizes.
+trades with the pass controller.  So each apply-loop iteration prices only
+the keys its candidates read: each distinct (set, role) of a qubit that can
+still move, leaving the pass controller for every other controller, and each
+distinct (set, role, controller) of a possible exchange partner, arriving
+alone and trading places with a qubit of each role.  It then sums those
+changes, in exact integers, over the set memberships of those qubits.  The
+cost of one iteration grows with those memberships, not with the number of
+candidate movements times set sizes, nor with the number of sets times k**2.
 """
 from __future__ import annotations
 
@@ -165,24 +165,33 @@ class _GainEngine:
     A pin is one (set, qubit) membership, typed 0 for a target, 1 for a
     source and 2 for both; pins are listed qubit by qubit.  Moving a pin's
     qubit between the pass controller ci and a controller b shifts its set's
-    count rows by a vector fixed by the pin type and b, so one scoring
-    evaluates the form three times over all sets: d_x[set, type, b] (a pin
-    leaves ci for b), d_y[set, type, b] (a pin comes from b to ci) and
-    d_j[set, type_x, type_y, b] (both at once).  A movement's gain sums d_x
-    and d_y over the pins of the moved qubits; an exchange adds the joint
-    correction d_j - d_x - d_y of every set holding both qubits.  Only the
-    pins of movable qubits and of their partners are read, and every sum is
-    an exact int64 sum per qubit.
+    count rows by a vector fixed by the pin type and b.  One scoring prices
+    a key once, however many pins share it: each distinct (set, type) of a
+    movable qubit's pins leaving ci for every b, and each distinct (set,
+    type, controller) of a partner's pins arriving at ci, with the joint
+    change of that pin and a pin of each type trading places.  A movement's
+    gain sums the leave and arrive changes over the pins of the moved
+    qubits; an exchange adds the joint correction (joint less leave less
+    arrive) of every set holding both qubits.  Every sum is an exact int64
+    sum per qubit.
     """
 
     # source / target flag of each pin type
     TYPE_SRC = np.array([0, 1, 1], dtype=np.int64)
     TYPE_TGT = np.array([1, 0, 1], dtype=np.int64)
+    # row ty: the source / target moves priced per (set, controller c) of a
+    # partner pin of type ty: the partner alone comes from c to ci, then a
+    # pin of each type tx alone leaves ci for c, then that pin and the
+    # partner trade places
+    PARTNER_SRC, PARTNER_TGT = (
+        np.column_stack((-flag, np.tile(flag, (3, 1)), flag - flag[:, None]))
+        for flag in (TYPE_SRC, TYPE_TGT)
+    )
 
     def __init__(self, ld: CidqList, k: int, hop, mode: str):
         self.k = k
         self.mode = mode
-        self.hop = np.asarray(hop, dtype=np.int64)
+        self.hop = hop
         self.n = ld.n_qubits
         self.n_sets = len(ld)
 
@@ -204,11 +213,17 @@ class _GainEngine:
         self.pin_count = np.bincount(self.pin_q, minlength=self.n)
         self.eye = np.eye(k, dtype=np.int64)
 
-    def _deltas(self, scnt, tcnt, s_cur, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Cost change of every set when its count rows move by ds / dt, which
-        are (..., k) arrays shared by all sets; shape (sets, ...)."""
-        lead = (slice(None),) + (None,) * (ds.ndim - 1)
-        return population_cost(scnt[lead] + ds, tcnt[lead] + dt, self.hop, self.mode) - s_cur[lead]
+    def _change(self, counts, sets, d_src, d_tgt, shift: np.ndarray) -> np.ndarray:
+        """Cost change of each of `sets` when d_src of its sources and d_tgt
+        of its targets move along the count-row change `shift` (last axis:
+        controllers).  counts is `tables`; the arguments broadcast together."""
+        scnt, tcnt, s_cur = counts
+        return population_cost(
+            scnt[sets] + d_src[..., None] * shift,
+            tcnt[sets] + d_tgt[..., None] * shift,
+            self.hop,
+            self.mode,
+        ) - s_cur[sets]
 
     def tables(self, ctl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source counts, target counts, current per-set cost) under ctl."""
@@ -241,15 +256,9 @@ class _GainEngine:
         available: rel[q, b] relocates unlocked q to a free slot of controller
         b != ci; ex[qa, qb] exchanges unlocked qa with unlocked qb under
         another controller."""
-        scnt, tcnt, s_cur = self.tables(ctl)
+        counts = self.tables(ctl)
         # shift[b]: count-row change when one unit moves from ci to b
         shift = self.eye - self.eye[ci]
-        # x of type tx leaves ci for b; y of type ty leaves b for ci
-        ds = self.TYPE_SRC[:, None, None] * shift
-        dt = self.TYPE_TGT[:, None, None] * shift
-        d_x = self._deltas(scnt, tcnt, s_cur, ds, dt)
-        d_y = self._deltas(scnt, tcnt, s_cur, -ds, -dt)
-        d_j = self._deltas(scnt, tcnt, s_cur, ds[:, None] - ds, dt[:, None] - dt)
         movable = (ctl == ci) & ~locked
         partner = (ctl != ci) & ~locked
         rows, cols = np.flatnonzero(movable), np.flatnonzero(partner)
@@ -257,14 +266,36 @@ class _GainEngine:
         pb = np.flatnonzero(partner[self.pin_q])  # pins of cols, qubit by qubit
         set_a, type_a = self.pin_set[pa], self.pin_type[pa]
         set_b, type_b, ctl_b = self.pin_set[pb], self.pin_type[pb], ctl[self.pin_q[pb]]
+        # x_cost[u, b]: a pin of the u-th distinct (set, type) of rows leaves
+        # ci for b; priced in blocks of keys, so that no (keys, k, k)
+        # population table holds much more than 2**18 entries
+        x_key, x_of_pin = np.unique(set_a * 3 + type_a, return_inverse=True)
+        x_set, x_type = np.divmod(x_key, 3)
+        n_blocks = max(1, -(-x_key.size * self.k**2 // 2**18))  # rounded up
+        x_cost = np.concatenate([
+            self._change(counts, x_set[u, None], self.TYPE_SRC[x_type[u], None],
+                         self.TYPE_TGT[x_type[u], None], shift)
+            for u in np.array_split(np.arange(x_key.size), n_blocks)
+        ])
+        # y_cost[v]: the changes of the v-th distinct (set, type, controller)
+        # of cols, as the columns of PARTNER_SRC / PARTNER_TGT list them
+        y_key, y_of_pin = np.unique((set_b * 3 + type_b) * self.k + ctl_b, return_inverse=True)
+        y_set_type, y_ctl = np.divmod(y_key, self.k)
+        y_set, y_type = np.divmod(y_set_type, 3)
+        y_cost = self._change(
+            counts, y_set[:, None], self.PARTNER_SRC[y_type], self.PARTNER_TGT[y_type],
+            shift[y_ctl, None],
+        )
+        arrive = y_cost[:, 0]
+        joint = y_cost[:, 4:] - y_cost[:, 1:4] - arrive[:, None]  # [v, tx]
         # leave[b, i]: rows[i] alone leaves ci for b; enter[j]: cols[j] alone comes to ci
-        leave = self._per_qubit(rows, d_x[set_a, type_a].T)
-        enter = self._per_qubit(cols, d_y[set_b, type_b, ctl_b])
+        leave = self._per_qubit(rows, x_cost[x_of_pin].T)
+        enter = self._per_qubit(cols, arrive[y_of_pin])
         # w[j, set, tx]: the joint correction pin (set, cols[j]) adds to an
         # exchange of cols[j] with a pin of type tx in that set
         w = np.zeros((cols.size, self.n_sets, 3), dtype=np.int64)
         col_of_pin = np.repeat(np.arange(cols.size), self.pin_count[cols])
-        w[col_of_pin, set_b] = (d_j - d_x[:, :, None] - d_y[:, None])[set_b, :, type_b, ctl_b]
+        w[col_of_pin, set_b] = joint[y_of_pin]
         corr = self._per_qubit(rows, w[:, set_a, type_a])  # [j, i]
         rel = np.full((self.n, self.k), _NEG, dtype=np.int64)
         dests = np.flatnonzero(has_free)

@@ -2,7 +2,7 @@
 
 The accepted grammar is a small OPENQASM 2.0 subset:
 
-    OPENQASM 2.0;              // optional, ignored
+    OPENQASM 2.0;              // optional; any version number, ignored
     include "qelib1.inc";      // optional, ignored
     qreg q[4]; creg c[4];
     h q[0];
@@ -56,7 +56,7 @@ _TEST = rf"{_ARG}\s*==\s*\d+"
 _LEXEME = re.compile(r'"[^"]*"|//[^\n]*')
 _STATEMENT = re.compile(
     rf"""\s*(?:
-        OPENQASM(?![A-Za-z0-9_])\s*(?P<version>{_NUM}|{_ID}|"[^"]*"|->|==|&&|[\[\](),*/+\-^]|)
+        OPENQASM(?![A-Za-z0-9_])\s*{_NUM}
       | include\s*"[^"]*"
       | (?P<reg>[qc])reg\s+(?P<name>{_ID})\s*\[\s*(?P<size>\d+)\s*\]
       | measure\s+(?P<measure>{_ARG}\s*->\s*{_ARG})
@@ -151,20 +151,13 @@ def parse_circuit(text: str) -> Circuit:
     memo: dict[str, object] = {}
     start = 0  # offset of the current statement
     try:
-        version_is_semicolon = False
         for stmt in statements[:-1]:
-            if version_is_semicolon:  # `OPENQASM ;;`: the first `;` was the version
-                version_is_semicolon = False
-                if stmt.strip():
-                    raise ValueError("expected ';' after the OPENQASM version")
-            else:
-                m = _STATEMENT.fullmatch(stmt)
-                if m is None:
-                    raise ValueError(f"malformed statement {stmt.strip()[:40]!r}")
-                _statement(m, regs, ops, memo)
-                version_is_semicolon = m["version"] == ""
+            m = _STATEMENT.fullmatch(stmt)
+            if m is None:
+                raise ValueError(f"malformed statement {stmt.strip()[:40]!r}")
+            _statement(m, regs, ops, memo)
             start += len(stmt) + 1
-        if version_is_semicolon or statements[-1].strip():
+        if statements[-1].strip():
             raise ValueError("missing ';' at end of statement")
     except ValueError as exc:  # every check, and int() of an over-long index
         stmt = text[start:].split(";", 1)[0]

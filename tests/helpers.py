@@ -83,7 +83,7 @@ def reference_is_uniform(hop) -> bool:
 
 
 def reference_validate_hops(hop) -> None:
-    """ControllerTopology.validate written out entry by entry: the reference
+    """matrix_topology's hop check written out entry by entry: the reference
     its numpy checks must match, error for error.  Scans row-major; each row
     checks its diagonal, then each entry's symmetry, lower bound and limit;
     then the triangle inequality against the Floyd-Warshall closure."""

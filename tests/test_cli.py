@@ -204,26 +204,31 @@ SETUP_DEVICES = {
 
 
 class TestSetupPaths:
-    """The --k/--device/--controllers shortcuts and the --topology document
-    that says the same build one setup: the reports agree but runtime_ms."""
+    """The --k/--device/--controllers shortcuts, the --topology document that
+    says the same and a matrix document of the same hops build one setup:
+    the reports agree but runtime_ms.  The uniform builders skip the hop
+    check that a matrix goes through, so this also checks that both arrays
+    price alike."""
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("controllers", ["star", "star_via_router"])
     @pytest.mark.parametrize("device", SETUP_DEVICES)
     def test_shortcuts_match_document(self, device, controllers, k, tmp_path):
-        doc = tmp_path / "topo.json"
-        doc.write_text(json.dumps({
-            "controllers": {"kind": controllers, "k": k},
-            "device": SETUP_DEVICES[device],
-        }))
+        h = {"star": 1, "star_via_router": 2}[controllers]
+        hop = [[0 if i == j else h for j in range(k)] for i in range(k)]
+        setups = [["--k", str(k), "--device", device, "--controllers", controllers]]
+        for name, spec in (("kind", {"kind": controllers, "k": k}),
+                           ("matrix", {"kind": "matrix", "hop": hop})):
+            doc = tmp_path / f"{name}.json"
+            doc.write_text(json.dumps({"controllers": spec, "device": SETUP_DEVICES[device]}))
+            setups.append(["--topology", str(doc)])
         reports = []
-        for setup in (["--k", str(k), "--device", device, "--controllers", controllers],
-                      ["--topology", str(doc)]):
+        for setup in setups:
             rep = tmp_path / f"report{len(reports)}.json"
             assert main(["transpile", "--circuit", "random8x10", *setup,
                          "--report", str(rep)]) == 0
             reports.append(strip_runtime(json.loads(rep.read_text())))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -1,8 +1,10 @@
 import json
+import pickle
 import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,6 @@ from dynlayout.control import (
     MAX_DEVICE_QUBITS,
     MAX_HOP,
     UNASSIGNED,
-    ControllerTopology,
     DeviceGraph,
     QubitControllerMap,
     grid_device,
@@ -46,17 +47,28 @@ class TestControllerTopology:
     def test_star_rows_as_built_entry_by_entry(self):
         for k in range(1, 41):
             for build, h in ((star_topology, 1), (star_via_router_topology, 2)):
-                assert build(k).hop == tuple(
-                    tuple(0 if i == j else h for j in range(k)) for i in range(k))
+                hop = build(k).hop
+                assert hop.tolist() == [[0 if i == j else h for j in range(k)] for i in range(k)]
+                assert matrix_topology(hop).hop.tolist() == hop.tolist()
+
+    @pytest.mark.parametrize("build", [
+        star_topology, star_via_router_topology,
+        lambda k: matrix_topology(random_metric_hops(random.Random(k), k)),
+    ], ids=["star", "star_via_router", "matrix"])
+    def test_hop_is_a_read_only_int64_array(self, build):
+        for topo in (build(5), pickle.loads(pickle.dumps(build(5)))):
+            assert topo.hop.dtype == np.int64 and topo.hop.shape == (5, 5)
+            with pytest.raises(ValueError, match="read-only"):
+                topo.hop[0, 1] = 7
 
     def test_matrix_validation_rejects_asymmetry(self):
         with pytest.raises(ConfigError):
-            matrix_topology([[0, 1], [2, 0]]).validate()
+            matrix_topology([[0, 1], [2, 0]])
 
     def test_matrix_validation_rejects_triangle_violation(self):
         # 0->2 direct hop 5 exceeds 0->1->2 = 2
         with pytest.raises(ConfigError):
-            matrix_topology([[0, 1, 5], [1, 0, 1], [5, 1, 0]]).validate()
+            matrix_topology([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
     def test_large_star_skips_the_closure(self):
         # a uniform hop passes the triangle inequality, so k = 600 needs no
@@ -75,7 +87,7 @@ class TestControllerTopology:
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ConfigError):
-            matrix_topology([[1, 1], [1, 0]]).validate()
+            matrix_topology([[1, 1], [1, 0]])
 
 
 @st.composite
@@ -120,9 +132,10 @@ def _error(check) -> str | None:
 @settings(max_examples=400, deadline=None)
 @given(damaged_hops())
 def test_validate_matches_the_reference_loop(hop):
-    topo = ControllerTopology(hop)
-    assert _error(topo.validate) == _error(lambda: reference_validate_hops(hop))
-    assert topo.is_uniform() == reference_is_uniform(hop)
+    error = _error(lambda: matrix_topology(hop))
+    assert error == _error(lambda: reference_validate_hops(hop))
+    if error is None:
+        assert matrix_topology(hop).is_uniform() == reference_is_uniform(hop)
 
 
 class TestDeviceGraph:

@@ -20,6 +20,7 @@ from dynlayout import (
     COST_MODES,
     Movement,
     apply_movement,
+    build_hypergraph,
     contiguous_assignment,
     controller_of,
     extract_cidq_sets,
@@ -27,6 +28,7 @@ from dynlayout import (
     matrix_topology,
     movement_gain,
     run_pipeline,
+    stage1_greedy,
     star_topology,
     total_cost_L,
 )
@@ -113,6 +115,25 @@ def test_engine_build_not_cubic_in_k():
     finally:
         tracemalloc.stop()
     assert peak < 20_000_000, peak
+
+
+def test_pass_at_k_300_peaks_under_50_mb():
+    # one pass on the instance above, from the greedy seed on two slots per
+    # controller: scoring prices only the (set, pin type) keys its qubits
+    # hold, where tables over every set, pin type pair and k x k controller
+    # pair peaked at 458 MB
+    rng = random.Random(0)
+    ld = random_cidq_list(rng, 40, 30)
+    topo, mc = star_topology(300), contiguous_assignment(600, 300)
+    mq = stage1_greedy(mc, ld, build_hypergraph(ld, 40))
+    tracemalloc.start()
+    try:
+        _, state = run_pass(mq, mc.assignment[mq.physical(0)], ld, mc, topo, "pair")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.applied, "the pass scores at least one movement"
+    assert peak < 50_000_000, peak
 
 
 def random_dynamic_circuit(rng: random.Random, n: int) -> Circuit:

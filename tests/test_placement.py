@@ -439,6 +439,34 @@ def test_initial_placement_layouts_pinned(key):
     assert [mq.physical(q) for q in range(n)] == LAYOUT_PINS[key]
 
 
+# Physical homes of logical qubits 0..39 of random40x30 from initial_placement
+# (pair mode, seed 0) on a line of 2k qubits with a k-controller star and
+# contiguous controllers, keyed by k: cells where placement cost shows its
+# growth with k.
+SCALE_PINS = {
+    20: [
+        19, 25, 36, 1, 16, 39, 14, 2, 29, 4, 20, 11, 26, 0, 6, 7, 30, 37, 5, 13, 15, 21,
+        8, 3, 18, 22, 10, 17, 27, 12, 31, 33, 34, 35, 24, 9, 23, 28, 32, 38,
+    ],
+    50: [
+        5, 35, 98, 16, 18, 0, 54, 2, 99, 6, 78, 55, 20, 1, 8, 9, 15, 22, 7, 11, 13, 49,
+        79, 3, 4, 80, 10, 17, 19, 12, 21, 23, 24, 25, 48, 14, 81, 26, 27, 34,
+    ],
+    100: [
+        11, 69, 196, 16, 18, 0, 108, 2, 197, 4, 144, 109, 20, 1, 6, 7, 15, 22, 5, 9, 13,
+        99, 145, 3, 10, 140, 8, 17, 19, 12, 21, 23, 24, 25, 98, 14, 141, 26, 27, 68,
+    ],
+}
+
+
+@pytest.mark.parametrize("k", list(SCALE_PINS))
+def test_placement_at_scale_layouts_pinned(k):
+    ld = extract_cidq_sets(generate("random", 40, 30))
+    mc = contiguous_assignment(2 * k, k)
+    mq = initial_placement(mc, ld, star_topology(k), line_device(2 * k), mode="pair", seed=0)
+    assert [mq.physical(q) for q in range(40)] == SCALE_PINS[k]
+
+
 @pytest.mark.parametrize("key", [("random", 30, 30, seed) for seed in range(3)] + [
     ("random", 40, 40, 0)], ids=lambda key: "-".join(map(str, key)))
 def test_refinement_ends_at_a_fixpoint(key):

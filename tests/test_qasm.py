@@ -40,6 +40,8 @@ def test_golden_parse():
 def test_headers_optional():
     c = parse_circuit("qreg q[1];\nh q[0];\n")
     assert c.n_qubits == 1
+    # the header takes any version number
+    assert parse_circuit("OPENQASM 3;\nqreg q[1];\nh q[0];\n") == c
 
 
 def test_comments_ignored():
@@ -95,9 +97,13 @@ class TestErrors:
             ("qreg q[1];\ncreg c[1];\nmeasure r[0] -> c[0];", 3),
             ("qreg q[2];\n\nh q[0];\ncx q[0], q[2];", 4),
             ("qreg q[1]; // one qubit\nu1(pi/0) q[0];", 2),
+            ("OPENQASM foo;\nqreg q[1];", 1),
+            ("OPENQASM ->;\nqreg q[1];", 1),
+            ("OPENQASM ;;\nqreg q[1];", 1),
         ],
         ids=["unknown-gate", "missing-final-semicolon", "unknown-register",
-             "index-out-of-range", "bad-angle"],
+             "index-out-of-range", "bad-angle", "version-name", "version-arrow",
+             "version-semicolon"],
     )
     def test_error_carries_position(self, text, line):
         try:
