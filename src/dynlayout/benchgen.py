@@ -50,7 +50,7 @@ def gen_dqft(n: int) -> Circuit:
     for i in range(n):
         for j in range(i):
             ops.append(
-                Operation("u1", (i,), (math.pi / 2 ** (i - j),), condition=frozenset({(j, 1)}))
+                Operation("u1", (i,), (math.ldexp(math.pi, j - i),), condition=frozenset({(j, 1)}))
             )
         ops.append(Operation("h", (i,)))
         ops.append(Operation("measure", (i,), clbit=i))
@@ -65,7 +65,7 @@ def gen_ipe(n: int) -> Circuit:
     ops: list[Operation] = []
     for r in range(rounds):
         ops.append(Operation("h", (anc,)))
-        theta = math.pi / 2 ** (r + 1)
+        theta = math.ldexp(math.pi, -(r + 1))
         for s in range(1, n):
             ops.append(Operation("cx", (anc, s)))
             ops.append(Operation("u1", (s,), (theta,)))
@@ -73,7 +73,7 @@ def gen_ipe(n: int) -> Circuit:
         for j in range(r):
             ops.append(
                 Operation(
-                    "u1", (anc,), (-math.pi / 2 ** (r - j + 1),), condition=frozenset({(j, 1)})
+                    "u1", (anc,), (-math.ldexp(math.pi, j - r - 1),), condition=frozenset({(j, 1)})
                 )
             )
         ops.append(Operation("measure", (anc,), clbit=r))

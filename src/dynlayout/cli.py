@@ -109,7 +109,10 @@ def _layout_doc(mq: LogicalPhysicalMap, cost: int, lower_bound: int) -> str:
 def _read_layout(path: str, n_qubits: int, m_physical: int) -> LogicalPhysicalMap:
     """The document `place` writes: an object whose "layout" lists, for each
     logical qubit, a physical qubit in 0..m-1 (an integer, not a bool or float)."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
     fwd = doc.get("layout") if isinstance(doc, dict) else None
     if not isinstance(fwd, list) or any(type(p) is not int for p in fwd):
         raise CliError(f"{path}: expected an object whose \"layout\" is a list of integers")

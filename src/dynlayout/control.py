@@ -1,5 +1,6 @@
 """Control-plane model: controller hop topology, physical device graph, the
-static qubit-to-controller assignment, and the logical-to-physical mapping."""
+static qubit-to-controller assignment, the logical-to-physical mapping, and
+`fill_slots`, the one rule that turns controllers into physical qubits."""
 from __future__ import annotations
 
 import json
@@ -381,6 +382,22 @@ class LogicalPhysicalMap:
         )
 
 
+def fill_slots(mq: LogicalPhysicalMap, mc: QubitControllerMap, placements) -> LogicalPhysicalMap:
+    """The slot rule: put each (logical qubit, controller) pair of placements,
+    in order, on that controller's lowest-index free physical qubit (one scan
+    lists them) of mq, which it returns; a full controller raises ConfigError."""
+    free: dict[int, list[int]] = {}  # descending, so pop() takes the lowest
+    for p in range(len(mq.inverse) - 1, -1, -1):
+        if mq.inverse[p] == UNASSIGNED:
+            free.setdefault(mc.assignment[p], []).append(p)
+    for q, c in placements:
+        slots = free.get(c)
+        if not slots:
+            raise ConfigError(f"controller {c} has no free slot")
+        mq.assign(q, slots.pop())
+    return mq
+
+
 def controller_of(mq: LogicalPhysicalMap, mc: QubitControllerMap, q: int) -> int:
     """Controller currently hosting logical qubit q."""
     return mc.assignment[mq.physical(q)]
@@ -435,7 +452,10 @@ def load_topology(source) -> tuple[ControllerTopology, DeviceGraph, QubitControl
     if isinstance(source, dict):
         doc = source
     else:
-        doc = json.loads(Path(source).read_text())
+        try:
+            doc = json.loads(Path(source).read_text())
+        except RecursionError:
+            raise ConfigError(f"{source}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"topology document must be a JSON object, got {type(doc).__name__}")
     try:

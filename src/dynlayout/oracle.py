@@ -1,32 +1,23 @@
 """Exhaustive reference for the placement objective.
 
 Enumerates every capacity-respecting assignment of logical qubits to
-controllers and returns the true optimum.  Deliberately independent of the
-heuristic placement code so the two can check each other.
+controllers and returns the true optimum, pricing each from its controller
+vector; only the optimum becomes a mapping, by `control.fill_slots`.
+Deliberately independent of the heuristic placement code so the two can
+check each other.
 """
 from __future__ import annotations
 
-from .cidq import CidqList, total_cost_L
-from .control import ControllerTopology, LogicalPhysicalMap, QubitControllerMap
+import numpy as np
+
+from .cidq import CidqList, set_costs
+from .control import ControllerTopology, LogicalPhysicalMap, QubitControllerMap, fill_slots
 
 ENUMERATION_LIMIT = 10**7
 
 
 class InstanceTooLarge(ValueError):
     """Raised when the assignment space exceeds the enumeration budget."""
-
-
-def _mapping_from_controllers(
-    ctl_of: list[int], mc: QubitControllerMap, m: int
-) -> LogicalPhysicalMap:
-    """Realize a qubit->controller vector as a concrete mapping, packing each
-    qubit onto the lowest-index free physical node of its controller (physical
-    position within a controller never changes the objective)."""
-    slots = {c: iter(mc.qubits_of(c)) for c in set(ctl_of)}
-    mq = LogicalPhysicalMap(len(ctl_of), m)
-    for q, c in enumerate(ctl_of):
-        mq.assign(q, next(slots[c]))
-    return mq
 
 
 def brute_force_placement(
@@ -59,8 +50,7 @@ def brute_force_placement(
     def recurse(q: int) -> None:
         nonlocal best_cost, best
         if q == n:
-            mq = _mapping_from_controllers(ctl_of, mc, mc.m)
-            cost = total_cost_L(ld, mq, mc, topo, mode)
+            cost = int(set_costs(ld, np.array(ctl_of), topo, mode).sum())
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best = list(ctl_of)
@@ -77,4 +67,4 @@ def brute_force_placement(
     recurse(0)
     if best is None:
         raise RuntimeError(f"no assignment of {n} qubits fits capacities {capacities}")
-    return best_cost, _mapping_from_controllers(best, mc, mc.m)
+    return best_cost, fill_slots(LogicalPhysicalMap(n, mc.m), mc, enumerate(best))

@@ -1,6 +1,8 @@
 """Feedforward-aware initial placement.
 
-Stage 1 seeds a complete logical-to-physical mapping greedily, visiting qubits
+Both stages choose a controller for each logical qubit, which alone sets
+the cost; the slot rule `control.fill_slots` turns the choices into
+physical qubits.  Stage 1 seeds a complete mapping greedily, visiting qubits
 by descending feedforward-hypergraph degree and packing each next to its
 already-placed neighbors.  Stage 2 refines it with Kernighan-Lin style passes:
 for one controller C_i at a time, enumerate single-qubit relocations from C_i
@@ -29,9 +31,9 @@ candidate movements times set sizes, nor with the number of sets times k**2.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +49,12 @@ from .cidq import (
     total_cost_L,
 )
 from .control import (
-    UNASSIGNED,
     ConfigError,
     ControllerTopology,
     DeviceGraph,
     LogicalPhysicalMap,
     QubitControllerMap,
+    fill_slots,
 )
 
 
@@ -70,7 +72,6 @@ class Movement:
     from_controller: int
     to_controller: int
     partner: int | None = None
-    to_physical: int | None = None
     gain: int | None = None
 
     def moved_qubits(self) -> tuple[int, ...]:
@@ -94,32 +95,23 @@ def _check_fits(n_logical: int, m_physical: int) -> None:
         raise ConfigError(f"device hosts {m_physical} qubits, circuit needs {n_logical}")
 
 
-def _free_slots(mq: LogicalPhysicalMap, mc: QubitControllerMap, c: int) -> list[int]:
-    return [p for p in mc.qubits_of(c) if mq.inverse[p] == UNASSIGNED]
-
-
 def apply_movement(
     mq: LogicalPhysicalMap, move: Movement, mc: QubitControllerMap
 ) -> LogicalPhysicalMap:
     """Return a copy of mq with the movement applied.
 
-    A relocation lands on move.to_physical when set, else on the lowest-index
-    free physical qubit of the destination controller.
+    An exchange swaps the homes of its two qubits; a relocation takes a free
+    slot of the destination by the slot rule `control.fill_slots`, or raises.
     """
     out = mq.copy()
     if mc.assignment[out.physical(move.qubit)] != move.from_controller:
         raise InvalidMovement(f"qubit {move.qubit} is not under controller {move.from_controller}")
     if move.kind == "relocate":
-        if move.to_physical is not None:
-            target = move.to_physical
-            if mc.assignment[target] != move.to_controller or out.inverse[target] != UNASSIGNED:
-                raise InvalidMovement(f"physical qubit {target} is not a free destination slot")
-        else:
-            free = _free_slots(out, mc, move.to_controller)
-            if not free:
-                raise InvalidMovement(f"controller {move.to_controller} has no free slot")
-            target = min(free)
-        out.move(move.qubit, target)
+        out.unassign(move.qubit)
+        try:
+            fill_slots(out, mc, [(move.qubit, move.to_controller)])
+        except ConfigError as exc:
+            raise InvalidMovement(str(exc)) from None
     elif move.kind == "exchange":
         if move.partner is None:
             raise InvalidMovement("exchange needs a partner qubit")
@@ -328,18 +320,13 @@ def run_pass(
 
     engine = _GainEngine(ld, k, topo.hop, mode)
     n = engine.n
-
-    work = mq.copy()
-    ctl = controllers(work, mc)
-    # ascending lists are already heaps; a pass never relocates into its own
-    # controller, so the slots it vacates there need no heap entry
-    free_heaps = {c: _free_slots(work, mc, c) for c in range(k)}
+    ctl = controllers(mq, mc)
+    free = np.bincount(mc.assignment, minlength=k) - np.bincount(ctl, minlength=k)
     locked = np.zeros(n, dtype=bool)
-    result, running = mq.copy(), 0
+    running = 0
 
     while True:
-        has_free = np.array([bool(free_heaps[b]) for b in range(k)])
-        rel_score, ex_score = engine.scores(ctl, controller, locked, has_free)
+        rel_score, ex_score = engine.scores(ctl, controller, locked, free > 0)
         # argmax over flat arrays: ties resolve to relocations first, then to
         # the lexicographically smallest (qubit, destination) pair
         best_rel_flat = int(np.argmax(rel_score))
@@ -351,11 +338,8 @@ def run_pass(
 
         if best_rel >= best_ex:
             q, b = divmod(best_rel_flat, k)
-            slot = heapq.heappop(free_heaps[b])
-            move = Movement(
-                "relocate", q, controller, b, to_physical=slot, gain=best_rel
-            )
-            work.move(q, slot)
+            move = Movement("relocate", q, controller, b, gain=best_rel)
+            free[b] -= 1
             ctl[q] = b
             locked[q] = True
         else:
@@ -363,16 +347,24 @@ def run_pass(
             move = Movement(
                 "exchange", qa, controller, int(ctl[qb]), partner=qb, gain=best_ex
             )
-            work.swap_physical(work.physical(qa), work.physical(qb))
             ctl[qa], ctl[qb] = ctl[qb], ctl[qa]
             locked[qa] = locked[qb] = True
         state.applied.append(move)
         # keep the first prefix whose cumulative gain is the largest positive one
         running += move.gain
         if running > state.prefix_gain:
-            result = work.copy()
             state.prefix_length, state.prefix_gain = len(state.applied), running
-    return result, state
+
+    # realize the kept prefix: no relocation lands in the pass controller, the
+    # one place a pass frees slots, so exchanges commute with relocations
+    out, relocated = mq.copy(), []
+    for move in state.applied[: state.prefix_length]:
+        if move.kind == "relocate":
+            out.unassign(move.qubit)
+            relocated.append((move.qubit, move.to_controller))
+        else:
+            out.swap_physical(out.physical(move.qubit), out.physical(move.partner))
+    return fill_slots(out, mc, relocated), state
 
 
 def stage1_greedy(
@@ -389,38 +381,31 @@ def stage1_greedy(
     controller.  Qubits outside every dependency set are placed last and pile
     onto the fullest controller; their location is cost-neutral here, but
     keeping the program compact spares the router from dragging qubits across
-    half the device.  Each qubit lands on the lowest-index free physical qubit
-    of its controller."""
+    half the device.  Choices use free counts only; `control.fill_slots`
+    then realizes them once, in visit order."""
     rng = random.Random(seed)
     n = hypergraph.n_vertices
     k = mc.k
     _check_fits(n, mc.m)
-    free_slots = {c: mc.qubits_of(c) for c in range(k)}  # ascending, so heaps
-    free = {c: len(free_slots[c]) for c in range(k)}
-    mq = LogicalPhysicalMap(n, mc.m)
-    placed_ctl: dict[int, int] = {}
-    placed_count = {c: 0 for c in range(k)}
+    free = np.bincount(mc.assignment, minlength=k).tolist()
+    placed_ctl: dict[int, int] = {}  # in visit order
+    placed_count = [0] * k
     order = sorted(range(n), key=lambda q: (-hypergraph.degree(q), q))
     for q in order:
         eligible = [c for c in range(k) if free[c] > 0]
         placed_neighbors = [x for x in hypergraph.neighbors(q) if x in placed_ctl]
         if placed_neighbors:
-            score = {c: 0 for c in eligible}
-            for x in placed_neighbors:
-                c = placed_ctl[x]
-                if c in score:
-                    score[c] += 1
+            score = Counter(placed_ctl[x] for x in placed_neighbors)
             choice = max(eligible, key=lambda c: (score[c], free[c], -c))
         elif hypergraph.degree(q) > 0:
             most_free = max(free[c] for c in eligible)
             choice = rng.choice([c for c in eligible if free[c] == most_free])
         else:
             choice = max(eligible, key=lambda c: (placed_count[c], free[c], -c))
-        mq.assign(q, heapq.heappop(free_slots[choice]))
         free[choice] -= 1
         placed_count[choice] += 1
         placed_ctl[q] = choice
-    return mq
+    return fill_slots(LogicalPhysicalMap(n, mc.m), mc, placed_ctl.items())
 
 
 def stage2_iterate(

@@ -301,10 +301,10 @@ def schedule(
     decisions: list[SwapDecision] = []  # one per inserted SWAP
     # circuit.depth's levels: of the last op on each physical qubit, of the
     # measure that last wrote each clbit, and the highest of that measure and
-    # its readers
+    # its readers; keyed by the clbits in use, not sized by the register
     on_qubit = [0] * device.m
-    written = [0] * circuit.n_clbits
-    touched = [0] * circuit.n_clbits
+    written: dict[int, int] = {}
+    touched: dict[int, int] = {}
     seen: set[tuple[int, int, int]] = set()  # (population row, qubit, controller)
     stagnant_swaps = 0
     livelock_limit = 3 * device.m
@@ -341,7 +341,7 @@ def schedule(
                         if written[bit] > level:
                             level = written[bit]
                 measure = op.name == "measure"
-                if measure and touched[op.clbit] > level:
+                if measure and touched.get(op.clbit, 0) > level:
                     level = touched[op.clbit]
                 if op.name != "barrier":
                     level += 1

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dynlayout import build_dag, build_hypergraph, extract_cidq_sets, generate
@@ -105,3 +107,15 @@ def test_block_count_outside_random_rejected(family):
 
 def test_generators_table_complete():
     assert set(GENERATORS) == {"dqft", "ipe", "pe", "cc", "random"}
+
+
+
+def test_dqft_past_1024_qubits_gives_finite_angles():
+    # dqft-n has angles pi / 2**d for d up to n - 1; at d = 1024, 2**d no
+    # longer converts to a float, and the angle is a subnormal float
+    c = generate("dqft", 1025)
+    c.validate()
+    angles = [p for op in c.ops for p in op.params]
+    assert all(math.isfinite(p) for p in angles)
+    assert min(angles) == math.ldexp(math.pi, -1024) > 0
+    assert angles[:3] == [math.pi / 2, math.pi / 4, math.pi / 2]

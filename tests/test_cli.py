@@ -569,6 +569,19 @@ class TestBadDocuments:
         assert err.startswith(f"error: {edges}:2: ") and err.count("\n") == 1
 
 
+
+class TestDeeplyNestedJson:
+    """A document nested past the JSON decoder's recursion limit is refused
+    with one line naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--topology", "--layout"])
+    def test_exits_2_with_one_line(self, flag, tmp_path, capsys):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 200_000)
+        setup = ["--k", "2", "--device", "line:4"] if flag == "--layout" else []
+        assert main(["route", "--circuit", "dqft4", *setup, flag, str(doc)]) == 2
+        assert capsys.readouterr().err == f"error: {doc}: JSON nested too deeply\n"
+
 class TestDeviceSizeLimit:
     """A device over MAX_DEVICE_QUBITS is refused before any list of m items
     (edges, adjacency, distance rows) is built."""

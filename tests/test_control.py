@@ -27,6 +27,7 @@ from dynlayout.control import (
     UNASSIGNED,
     DeviceGraph,
     QubitControllerMap,
+    fill_slots,
     grid_device,
 )
 from helpers import random_metric_hops, reference_is_uniform, reference_validate_hops
@@ -253,6 +254,40 @@ def test_mapping_consistency_under_random_updates(seed):
         p for p in range(m) if mq.logical_at(p) != UNASSIGNED
     )
 
+
+
+class TestFillSlots:
+    """The slot rule: each (qubit, controller) pair, in order, takes that
+    controller's lowest-index free physical qubit."""
+
+    # controller 0 owns physical 0, 2, 4; controller 1 owns 1, 3, 5
+    mc = QubitControllerMap(2, (0, 1, 0, 1, 0, 1))
+
+    def test_arrival_order_lowest_index_first(self):
+        mq = LogicalPhysicalMap(4, 6)
+        fill_slots(mq, self.mc, [(2, 1), (0, 0), (3, 1), (1, 0)])
+        assert mq.forward == [0, 2, 1, 3]
+        mq.check_consistent()
+
+    def test_occupied_slots_skipped(self):
+        mq = LogicalPhysicalMap(3, 6)
+        mq.assign(0, 2)
+        mq.assign(1, 1)
+        fill_slots(mq, self.mc, [(2, 0)])
+        assert mq.forward == [2, 1, 0]
+        mq.unassign(2)
+        fill_slots(mq, self.mc, iter([(2, 1)]))  # any iterable of pairs
+        assert mq.physical(2) == 3
+
+    def test_full_controller_raises(self):
+        mq = LogicalPhysicalMap(4, 6)
+        with pytest.raises(ConfigError, match="controller 1 has no free slot"):
+            fill_slots(mq, self.mc, [(0, 1), (1, 1), (2, 1), (3, 1)])
+        assert mq.forward[:3] == [1, 3, 5]  # the pairs before the full one stay
+
+    def test_unknown_controller_raises(self):
+        with pytest.raises(ConfigError, match="controller 2 has no free slot"):
+            fill_slots(LogicalPhysicalMap(1, 6), self.mc, [(0, 2)])
 
 class TestLoadTopology:
     def test_round_trip_document(self, tmp_path):

@@ -127,6 +127,28 @@ def test_movement_gain_matches_global_recomputation(seed):
     assert movement_gain(move, mq, ld, mc, topo, mode) == before - after
 
 
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pass_layout_is_its_prefix_replayed(seed):
+    # the pass tracks controllers only and realizes its kept prefix once; the
+    # layout must be the one apply_movement gives, move by move, from its input
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    k = rng.randint(2, 4)
+    ld = random_cidq_list(rng, n, rng.randint(1, 7))
+    topo, mc = uniform_setup(n, k, rng.randint((n + k - 1) // k, n + 1))
+    if rng.random() < 0.5:
+        topo = matrix_topology(random_metric_hops(rng, k))
+    mq = complete_random_mapping(rng, n, mc)
+    mode = rng.choice(("pair", "per_target"))
+    out, state = run_pass(mq, controller_of(mq, mc, rng.randrange(n)), ld, mc, topo, mode)
+    replayed = mq
+    for move in state.applied[: state.prefix_length]:
+        replayed = apply_movement(replayed, move, mc)
+    assert out == replayed
+    out.check_consistent()
+
 class TestQubitMovingPass:
     def test_applies_best_movement_first(self):
         ld, topo, mc, mq = fig5_instance()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -647,3 +648,25 @@ class TestAccumulate:
         c, routed, ld, _, _, _ = route_benchmark("random", 6, seed=1, device=dev, k=1, blocks=8)
         mc = contiguous_assignment(6, 1)
         assert accumulate_iccs(routed, mc, star_topology(1), "pair") == 0
+
+
+@pytest.mark.parametrize("mode", ["class", "baseline"])
+def test_routing_memory_bounded_by_clbits_in_use(mode):
+    # a register of 10**7 classical bits, of which the circuit uses one: the
+    # router's per-clbit depth tables hold only the bits in use
+    circuit = Circuit(3, 10**7, (
+        Operation("h", (0,)),
+        Operation("measure", (0,), clbit=0),
+        Operation("x", (2,), condition=frozenset({(0, 1)})),
+        Operation("measure", (2,), clbit=0),
+    ))
+    device = line_device(4)
+    mc, topo = contiguous_assignment(4, 2), star_topology(2)
+    tracemalloc.start()
+    try:
+        routed, report = run_pipeline(circuit, mc, topo, device, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.depth == depth(routed.circuit) == 4
+    assert peak < 1_000_000, peak  # a list of 10**7 items alone takes 80 MB
