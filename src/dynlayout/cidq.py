@@ -93,28 +93,29 @@ def extract_cidq_sets(circuit: Circuit) -> CidqList:
 
 def _extract(circuit: Circuit) -> CidqList:
     circuit.validate()
+    ops = circuit.ops
     writer: dict[int, int] = {}  # clbit -> op index of current measure
-    measured_qubit: dict[int, int] = {}  # measure op index -> qubit
-    targets: dict[int, set[int]] = {}  # measure op index -> target qubits
-    target_ops: dict[int, list[int]] = {}
-    for i, op in enumerate(circuit.ops):
-        if op.condition is not None:
-            for bit, _ in op.condition:
+    target_ops: dict[int, list[int]] = {}  # measure op index -> its dependent ops
+    for i, (name, _, _, clbit, condition) in enumerate(ops):
+        if condition is not None:
+            for bit, _ in condition:
                 event = writer[bit]
-                targets.setdefault(event, set()).update(op.qubits)
-                target_ops.setdefault(event, []).append(i)
-        if op.is_measure:
-            writer[op.clbit] = i
-            measured_qubit[i] = op.qubits[0]
+                if event in target_ops:
+                    target_ops[event].append(i)
+                else:
+                    target_ops[event] = [i]
+        elif name == "measure":  # a valid measure is never conditioned
+            writer[clbit] = i
     sets = []
-    for event in sorted(targets):
+    for event in sorted(target_ops):
+        dependents = target_ops[event]
         sets.append(
             CidqSet(
                 id=len(sets),
-                measured=frozenset({measured_qubit[event]}),
-                targets=frozenset(targets[event]),
+                measured=frozenset(ops[event].qubits),
+                targets=frozenset(itertools.chain.from_iterable(ops[i].qubits for i in dependents)),
                 source_ops=(event,),
-                target_ops=tuple(target_ops[event]),
+                target_ops=tuple(dependents),
             )
         )
     ld = CidqList(tuple(sets), circuit.n_qubits)
@@ -133,13 +134,6 @@ class FeedforwardHypergraph:
 
     def degree(self, q: int) -> int:
         return len(self.incidence[q])
-
-    def neighbors(self, q: int) -> set[int]:
-        out: set[int] = set()
-        for e in self.incidence[q]:
-            out |= self.hyperedges[e]
-        out.discard(q)
-        return out
 
 
 def build_hypergraph(ld: CidqList, n_qubits: int) -> FeedforwardHypergraph:

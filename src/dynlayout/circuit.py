@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 ONE_QUBIT_GATES = frozenset({"h", "x", "z", "u1"})
 TWO_QUBIT_GATES = frozenset({"cx", "cz", "swap"})
@@ -15,9 +16,9 @@ class CircuitError(ValueError):
     """Raised when an operation or circuit violates the IR contract."""
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One circuit operation.
+class Operation(NamedTuple):
+    """One circuit operation, a tuple record: it equals (and hashes as) the
+    plain tuple (name, qubits, params, clbit, condition) of its fields.
 
     name: gate name, or one of 'measure', 'reset', 'barrier'.
     qubits: operand qubit indices (1 or 2 for gates, 1 for measure/reset,
@@ -35,10 +36,6 @@ class Operation:
     condition: frozenset[tuple[int, int]] | None = None
 
     @property
-    def is_gate(self) -> bool:
-        return self.name in ONE_QUBIT_GATES or self.name in TWO_QUBIT_GATES
-
-    @property
     def is_two_qubit(self) -> bool:
         return self.name in TWO_QUBIT_GATES
 
@@ -51,53 +48,54 @@ class Operation:
         return self.name == "barrier"
 
     def validate(self, n_qubits: int, n_clbits: int) -> None:
-        for q in self.qubits:
+        name, qubits, params, clbit, condition = self
+        for q in qubits:
             if not 0 <= q < n_qubits:
-                raise CircuitError(f"qubit index {q} out of range for op {self.name}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"duplicate qubit operands in {self.name} {self.qubits}")
-        if self.name in ONE_QUBIT_GATES:
-            if len(self.qubits) != 1:
-                raise CircuitError(f"{self.name} takes 1 qubit, got {self.qubits}")
-        elif self.name in TWO_QUBIT_GATES:
-            if len(self.qubits) != 2:
-                raise CircuitError(f"{self.name} takes 2 qubits, got {self.qubits}")
-        elif self.name == "measure":
-            if len(self.qubits) != 1 or self.clbit is None:
+                raise CircuitError(f"qubit index {q} out of range for op {name}")
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"duplicate qubit operands in {name} {qubits}")
+        if name in ONE_QUBIT_GATES:
+            if len(qubits) != 1:
+                raise CircuitError(f"{name} takes 1 qubit, got {qubits}")
+        elif name in TWO_QUBIT_GATES:
+            if len(qubits) != 2:
+                raise CircuitError(f"{name} takes 2 qubits, got {qubits}")
+        elif name == "measure":
+            if len(qubits) != 1 or clbit is None:
                 raise CircuitError("measure takes 1 qubit and a clbit target")
-            if self.condition is not None:
+            if condition is not None:
                 raise CircuitError("conditioned measure is not supported")
-        elif self.name == "reset":
-            if len(self.qubits) != 1:
+        elif name == "reset":
+            if len(qubits) != 1:
                 raise CircuitError("reset takes 1 qubit")
-        elif self.name == "barrier":
-            if not self.qubits:
+        elif name == "barrier":
+            if not qubits:
                 raise CircuitError("barrier needs at least one qubit")
-            if self.condition is not None:
+            if condition is not None:
                 raise CircuitError("conditioned barrier is not supported")
         else:
-            raise CircuitError(f"unknown operation {self.name!r}")
-        if self.is_gate:
-            want = GATE_PARAM_COUNT[self.name]
-            if len(self.params) != want:
-                raise CircuitError(f"{self.name} takes {want} params, got {len(self.params)}")
-            for p in self.params:
+            raise CircuitError(f"unknown operation {name!r}")
+        if name in GATE_PARAM_COUNT:
+            want = GATE_PARAM_COUNT[name]
+            if len(params) != want:
+                raise CircuitError(f"{name} takes {want} params, got {len(params)}")
+            for p in params:
                 # the exact-type test spares the common float the ABC check
                 if not (type(p) is float or isinstance(p, numbers.Real)) or not math.isfinite(p):
-                    raise CircuitError(f"{self.name} angle must be a finite real, got {p!r}")
-            if self.clbit is not None:
-                raise CircuitError(f"{self.name} cannot write a clbit")
-        elif self.params:
-            raise CircuitError(f"{self.name} takes no params, got {self.params!r}")
-        if self.clbit is not None and not 0 <= self.clbit < n_clbits:
-            raise CircuitError(f"clbit index {self.clbit} out of range")
-        if self.condition is not None:
-            if not self.condition:
+                    raise CircuitError(f"{name} angle must be a finite real, got {p!r}")
+            if clbit is not None:
+                raise CircuitError(f"{name} cannot write a clbit")
+        elif params:
+            raise CircuitError(f"{name} takes no params, got {params!r}")
+        if clbit is not None and not 0 <= clbit < n_clbits:
+            raise CircuitError(f"clbit index {clbit} out of range")
+        if condition is not None:
+            if not condition:
                 raise CircuitError("empty condition")
-            n_tests = len(self.condition)
-            if n_tests > 1 and len({bit for bit, _ in self.condition}) != n_tests:
+            n_tests = len(condition)
+            if n_tests > 1 and len({bit for bit, _ in condition}) != n_tests:
                 raise CircuitError("repeated clbit in condition")
-            for bit, val in self.condition:
+            for bit, val in condition:
                 if not 0 <= bit < n_clbits:
                     raise CircuitError(f"condition clbit {bit} out of range")
                 if val not in (0, 1):
@@ -130,15 +128,22 @@ class Circuit:
         written: set[int] = set()
         for i, op in enumerate(self.ops):
             op.validate(self.n_qubits, self.n_clbits)
-            if op.condition is not None:
-                for bit, _ in op.condition:
+            name, _, _, clbit, condition = op
+            if condition is not None:
+                for bit, _ in condition:
                     if bit not in written:
                         raise CircuitError(
-                            f"op {i} ({op.name}) conditioned on clbit {bit} "
+                            f"op {i} ({name}) conditioned on clbit {bit} "
                             "before any measure writes it"
                         )
-            if op.is_measure:
-                written.add(op.clbit)
+            if name == "measure":
+                written.add(clbit)
+        self.record_valid()
+
+    def record_valid(self) -> None:
+        """Record that the circuit passes validate, so validate returns at
+        once; for code that made every check of validate itself while it
+        built the circuit (the parser)."""
         object.__setattr__(self, "_valid", True)
 
     def derived(self, name: str, build, *args):
@@ -153,7 +158,7 @@ class Circuit:
 
     def count_ops(self) -> int:
         """Number of operations, barriers excluded."""
-        return sum(1 for op in self.ops if not op.is_barrier)
+        return len(self.ops) - [op.name for op in self.ops].count("barrier")
 
     def two_qubit_count(self) -> int:
         return sum(1 for op in self.ops if op.is_two_qubit)
@@ -176,42 +181,47 @@ class OpDag:
     def __init__(self, circuit: Circuit):
         ops = self.ops = circuit.ops
         preds: list[tuple[int, ...]] = []
+        # visiting ops in order appends each successor list in ascending order
+        succ: list[list[int]] = [[] for _ in ops]
         last_on_qubit: dict[int, int] = {}
         writer: dict[int, int] = {}
         readers: dict[int, list[int]] = {}
-        for i, op in enumerate(ops):
-            pred = set()
-            for q in op.qubits:
-                if q in last_on_qubit:
-                    pred.add(last_on_qubit[q])
-            for q in op.qubits:
+        for i, (name, qubits, _, clbit, condition) in enumerate(ops):
+            if len(qubits) == 1:  # most ops: no comprehension
+                q = qubits[0]
+                pred = [last_on_qubit[q]] if q in last_on_qubit else []
+            else:
+                pred = [last_on_qubit[q] for q in qubits if q in last_on_qubit]
+            for q in qubits:
                 last_on_qubit[q] = i
-            if op.condition is not None:
-                for bit, _ in op.condition:
+            if condition is not None:
+                for bit, _ in condition:
                     if bit not in writer:
                         raise CircuitError(f"op {i} conditioned on unwritten clbit {bit}")
-                    pred.add(writer[bit])
+                    pred.append(writer[bit])
                     readers[bit].append(i)
-            if op.name == "measure":
-                bit = op.clbit
-                if bit in writer:
-                    pred.add(writer[bit])
-                    pred.update(readers[bit])
-                    pred.discard(i)  # a measure conditioned on its own bit reads it
-                writer[bit] = i
-                readers[bit] = []
-            preds.append(tuple(sorted(pred)))
-
-        # visiting ops in order appends each successor list in ascending order
-        succ: list[list[int]] = [[] for _ in ops]
-        for i, pred in enumerate(preds):
+            if name == "measure":
+                if clbit in writer:
+                    pred.append(writer[clbit])
+                    # a measure conditioned on its own bit reads it
+                    pred.extend(j for j in readers[clbit] if j != i)
+                writer[clbit] = i
+                readers[clbit] = []
+            # ascending and distinct: up to two predecessors (most ops)
+            # skip the set and the sort
+            if len(pred) == 2:
+                a, b = pred
+                pred = (a, b) if a < b else (b, a) if b < a else (a,)
+            else:
+                pred = tuple(sorted(set(pred)) if len(pred) > 2 else pred)
             for j in pred:
                 succ[j].append(i)
+            preds.append(pred)
         self.n_nodes = len(ops)
-        self.succ: tuple[tuple[int, ...], ...] = tuple(tuple(s) for s in succ)
+        self.succ: tuple[tuple[int, ...], ...] = tuple(map(tuple, succ))
         self.pred: tuple[tuple[int, ...], ...] = tuple(preds)
         # read by the router on every visit, so computed once here
-        self.two_qubit: tuple[bool, ...] = tuple(op.name in TWO_QUBIT_GATES for op in ops)
+        self.two_qubit: tuple[bool, ...] = tuple([op.name in TWO_QUBIT_GATES for op in ops])
 
     def front_layer(self) -> list[int]:
         """Op indices with no predecessors, ascending."""

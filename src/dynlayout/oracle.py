@@ -1,8 +1,10 @@
 """Exhaustive reference for the placement objective.
 
 Enumerates every capacity-respecting assignment of logical qubits to
-controllers and returns the true optimum, pricing each from its controller
-vector; only the optimum becomes a mapping, by `control.fill_slots`.
+controllers and returns the true optimum.  The controller vectors are priced
+in stacks of CHUNK, one `set_costs` call each, so the pin index is built per
+stack rather than per vector; only the optimum becomes a mapping, by
+`control.fill_slots`.
 Deliberately independent of the heuristic placement code so the two can
 check each other.
 """
@@ -14,6 +16,7 @@ from .cidq import CidqList, set_costs
 from .control import ControllerTopology, LogicalPhysicalMap, QubitControllerMap, fill_slots
 
 ENUMERATION_LIMIT = 10**7
+CHUNK = 1024  # controller vectors priced per set_costs call
 
 
 class InstanceTooLarge(ValueError):
@@ -46,14 +49,22 @@ def brute_force_placement(
     best: list[int] | None = None
     ctl_of = [0] * n
     free = list(capacities)
+    stack: list[list[int]] = []  # feasible vectors not yet priced, in enumeration order
+
+    def price() -> None:
+        """Price the stack; keep its first minimum if it beats the best so far."""
+        nonlocal best_cost, best
+        costs = set_costs(ld, np.array(stack), topo, mode).sum(-1)
+        i = int(costs.argmin())
+        if best_cost is None or costs[i] < best_cost:
+            best_cost, best = int(costs[i]), stack[i]
+        stack.clear()
 
     def recurse(q: int) -> None:
-        nonlocal best_cost, best
         if q == n:
-            cost = int(set_costs(ld, np.array(ctl_of), topo, mode).sum())
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best = list(ctl_of)
+            stack.append(list(ctl_of))
+            if len(stack) == CHUNK:
+                price()
             return
         choices = range(1 if q == 0 and symmetric and k > 1 else k)
         for c in choices:
@@ -65,6 +76,8 @@ def brute_force_placement(
             free[c] += 1
 
     recurse(0)
+    if stack:
+        price()
     if best is None:
         raise RuntimeError(f"no assignment of {n} qubits fits capacities {capacities}")
     return best_cost, fill_slots(LogicalPhysicalMap(n, mc.m), mc, enumerate(best))

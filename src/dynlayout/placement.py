@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,12 +100,17 @@ def apply_movement(
     """Return a copy of mq with the movement applied.
 
     An exchange swaps the homes of its two qubits; a relocation takes a free
-    slot of the destination by the slot rule `control.fill_slots`, or raises.
+    slot of another controller by the slot rule `control.fill_slots`, or
+    raises.
     """
     out = mq.copy()
     if mc.assignment[out.physical(move.qubit)] != move.from_controller:
         raise InvalidMovement(f"qubit {move.qubit} is not under controller {move.from_controller}")
     if move.kind == "relocate":
+        if move.to_controller == move.from_controller:
+            raise InvalidMovement(
+                f"relocation of qubit {move.qubit} onto its own controller {move.to_controller}"
+            )
         out.unassign(move.qubit)
         try:
             fill_slots(out, mc, [(move.qubit, move.to_controller)])
@@ -390,12 +394,30 @@ def stage1_greedy(
     free = np.bincount(mc.assignment, minlength=k).tolist()
     placed_ctl: dict[int, int] = {}  # in visit order
     placed_count = [0] * k
+    # qubit sets as int bitmasks (bit q for qubit q); q itself is never among
+    # the placed qubits when it is visited
+    edge_mask = [sum(1 << q for q in e) for e in hypergraph.hyperedges]
+    placed_on = [0] * k  # controller -> its placed qubits
+    placed = 0  # every placed qubit
     order = sorted(range(n), key=lambda q: (-hypergraph.degree(q), q))
     for q in order:
         eligible = [c for c in range(k) if free[c] > 0]
-        placed_neighbors = [x for x in hypergraph.neighbors(q) if x in placed_ctl]
-        if placed_neighbors:
-            score = Counter(placed_ctl[x] for x in placed_neighbors)
+        hit = 0  # q's placed neighbours
+        for e in hypergraph.incidence[q]:
+            hit |= edge_mask[e]
+        hit &= placed
+        if hit:
+            # per-controller counts, by whichever is fewer: one step per
+            # placed neighbour, or one AND per eligible controller
+            score = [0] * k
+            if hit.bit_count() < len(eligible):
+                while hit:
+                    low = hit & -hit
+                    score[placed_ctl[low.bit_length() - 1]] += 1
+                    hit ^= low
+            else:
+                for c in eligible:
+                    score[c] = (hit & placed_on[c]).bit_count()
             choice = max(eligible, key=lambda c: (score[c], free[c], -c))
         elif hypergraph.degree(q) > 0:
             most_free = max(free[c] for c in eligible)
@@ -405,6 +427,9 @@ def stage1_greedy(
         free[choice] -= 1
         placed_count[choice] += 1
         placed_ctl[q] = choice
+        bit = 1 << q
+        placed_on[choice] |= bit
+        placed |= bit
     return fill_slots(LogicalPhysicalMap(n, mc.m), mc, placed_ctl.items())
 
 

@@ -26,7 +26,9 @@ compiled pattern, one alternative per form).  Register declarations come
 before the first operation, so the registers are fixed before any operand
 is resolved: each distinct operand text (argument list, condition tests,
 angle) is checked and resolved once per parse, and the operations that
-repeat it share the resulting qubit tuple, condition or params.  A
+repeat it share the resulting qubit tuple, condition or params.  The
+parser is the only check of the text: it makes every check of
+`Circuit.validate`, and the circuit it returns records that it is valid.  A
 ParseError's line and column point at the first character of the
 offending statement.  serialize_circuit writes the
 OPENQASM and include header lines, so its output loads in standard
@@ -51,17 +53,17 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
 _NUM = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
 _ARG = rf"{_ID}\s*\[\s*\d+\s*\]"
 _TEST = rf"{_ARG}\s*==\s*\d+"
-
-# A "string" keeps its place (its `;`s masked), a // comment is dropped.
-_LEXEME = re.compile(r'"[^"]*"|//[^\n]*')
+# The gate form comes first, as most statements take it; no statement
+# matches two forms once a declaration is kept out of the gate form.
 _STATEMENT = re.compile(
     rf"""\s*(?:
-        OPENQASM(?![A-Za-z0-9_])\s*{_NUM}
-      | include\s*"[^"]*"
-      | (?P<reg>[qc])reg\s+(?P<name>{_ID})\s*\[\s*(?P<size>\d+)\s*\]
-      | measure\s+(?P<measure>{_ARG}\s*->\s*{_ARG})
-      | (?:if\s*\(\s*(?P<cond>{_TEST}(?:\s*&&\s*{_TEST})*)\s*\)\s*)?
+        (?![qc]reg\s+{_ID}\s*\[\s*\d+\s*\]\s*\Z)
+        (?:if\s*\(\s*(?P<cond>{_TEST}(?:\s*&&\s*{_TEST})*)\s*\)\s*)?
         (?P<op>{_ID})\s*(?:(?P<angle>\(.*\))\s*)?(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)
+      | measure\s+(?P<measure>{_ARG}\s*->\s*{_ARG})
+      | (?P<reg>[qc])reg\s+(?P<name>{_ID})\s*\[\s*(?P<size>\d+)\s*\]
+      | OPENQASM(?![A-Za-z0-9_])\s*{_NUM}
+      | include\s*"[^"]*"
     )\s*""",
     re.VERBOSE | re.DOTALL,
 )
@@ -69,11 +71,39 @@ _STATEMENT = re.compile(
 _PARTS = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\](?:\s*==\s*(\d+))?")
 _LITERAL = re.compile(rf"\s*-?{_NUM}\s*")
 _ANGLE_TOKEN = re.compile(rf"\s*({_NUM}|[A-Za-z_][A-Za-z0-9_]*|\S)")
+# _new(Operation, fields) is Operation(*fields) without the Python-level
+# argument handling of a NamedTuple's __new__; the parser has all five fields
+_new = tuple.__new__
 
 
-def _mask(m: re.Match) -> str:
-    s = m.group()
-    return s.replace(";", " ") if s[0] == '"' else ""
+def _mask(text: str) -> str:
+    """text with each // comment dropped and the `;`s of each "string"
+    blanked, so that a string keeps its place.  Scans left to right: the
+    first `"` with a closing `"` after it starts a string, the first `//`
+    outside one a comment to the end of its line; each is located with
+    str.find, not character by character."""
+    out = []
+    pos = 0  # text[:pos] is done
+    quote, slash = text.find('"'), text.find("//")
+    while quote >= 0 or slash >= 0:
+        if quote >= 0 and (slash < 0 or quote < slash):
+            close = text.find('"', quote + 1)
+            if close < 0:  # a lone quote starts no string
+                quote = -1
+                continue
+            out += (text[pos:quote], text[quote:close + 1].replace(";", " "))
+            pos = close + 1
+        else:
+            out.append(text[pos:slash])
+            pos = text.find("\n", slash)
+            if pos < 0:
+                pos = len(text)
+        if 0 <= quote < pos:
+            quote = text.find('"', pos)
+        if 0 <= slash < pos:
+            slash = text.find("//", pos)
+    out.append(text[pos:])
+    return "".join(out)
 
 
 def _angle(text: str) -> float:
@@ -140,8 +170,16 @@ def _angle(text: str) -> float:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; raises ParseError with the line and column of the
-    offending statement."""
-    text = _LEXEME.sub(_mask, text)
+    offending statement.
+
+    Every check of `Circuit.validate` is made here, each statement once:
+    the statement checks as it is parsed, and the three that need the whole
+    op list (repeated operands, a non-finite angle, a condition on a clbit
+    no earlier measure wrote) noted as they are found.  A ParseError in any
+    statement wins; after the last one, a circuit with a noted failure is
+    handed to validate, which raises the first failing op's CircuitError,
+    and a clean one is recorded as valid."""
+    text = _mask(text)
     statements = text.split(";")
     regs: dict[str, tuple[str, int, int]] = {}  # name -> ("q" or "c", offset, size)
     ops: list[Operation] = []
@@ -149,13 +187,24 @@ def parse_circuit(text: str) -> Circuit:
     # starts with a register name and only a test list holds "==", while an
     # angle keeps its "(", so no two kinds share a key
     memo: dict[str, object] = {}
+    written: set[int] = set()  # clbits some earlier measure wrote
+    clean = True  # no op so far fails a check of validate
     start = 0  # offset of the current statement
     try:
         for stmt in statements[:-1]:
             m = _STATEMENT.fullmatch(stmt)
             if m is None:
                 raise ValueError(f"malformed statement {stmt.strip()[:40]!r}")
-            _statement(m, regs, ops, memo)
+            cond, name, angle, args, measure, reg, reg_name, size = m.groups()
+            if name is not None:
+                clean = _gate(name, angle, cond, args, regs, ops, memo, written) and clean
+            elif measure is not None:
+                (q, qi, _), (c, ci, _) = _PARTS.findall(measure)
+                qubit, clbit = _index(regs, q, qi, "q"), _index(regs, c, ci, "c")
+                ops.append(_new(Operation, ("measure", (qubit,), (), clbit, None)))
+                written.add(clbit)
+            elif reg is not None:
+                _declare(reg, reg_name, int(size), regs, ops)
             start += len(stmt) + 1
         if statements[-1].strip():
             raise ValueError("missing ';' at end of statement")
@@ -166,62 +215,77 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(str(exc), line, at - text.rfind("\n", 0, at)) from None
     n_qubits, n_clbits = (sum(s for k, _, s in regs.values() if k == kind) for kind in "qc")
     circuit = Circuit(n_qubits, n_clbits, tuple(ops))
-    circuit.validate()
+    if clean and n_qubits > 0:
+        circuit.record_valid()
+    else:
+        circuit.validate()  # raises the first failure
     return circuit
 
 
-def _statement(
-    m: re.Match, regs: dict[str, tuple[str, int, int]], ops: list[Operation], memo: dict
+def _gate(
+    name: str, angle: str | None, cond: str | None, args: str,
+    regs: dict[str, tuple[str, int, int]], ops: list[Operation], memo: dict, written: set[int],
+) -> bool:
+    """Check a gate, reset or barrier statement, maybe conditioned, against
+    the registers declared so far and append its operation.  Raises
+    ValueError; returns False if the op fails a check of validate that
+    parsing does not raise.  An operand whose text is in memo was checked
+    before, against the same registers (none may follow an operation), so
+    its value is reused; only values that pass the parse checks are stored,
+    so a bad operand fails at its own statement, in the same check order.
+    The validate checks of an operand are made when it is first stored: a
+    later op that repeats it comes after the first failing one."""
+    clean = True
+    qubits = memo.get(args)
+    if qubits is None:
+        qubits = memo[args] = tuple(_index(regs, r, i, "q") for r, i, _ in _PARTS.findall(args))
+        clean = len(qubits) == 1 or len(set(qubits)) == len(qubits)
+    if name == "barrier" and angle is None and cond is None:
+        ops.append(_new(Operation, ("barrier", qubits, (), None, None)))
+        return clean
+    if name not in GATE_PARAM_COUNT and name != "reset":
+        raise ValueError(f"unknown gate {name!r}")
+    arity = 2 if name in TWO_QUBIT_GATES else 1
+    if len(qubits) != arity:
+        raise ValueError(f"{name} takes {arity} qubit(s), got {len(qubits)}")
+    want = GATE_PARAM_COUNT.get(name, 0)
+    if want != (angle is not None):
+        raise ValueError(f"{name} takes {want} angle(s)")
+    condition = None
+    if cond is not None:
+        condition = memo.get(cond)
+        if condition is None:
+            tests = [(_index(regs, r, i, "c"), int(v)) for r, i, v in _PARTS.findall(cond)]
+            if any(v not in (0, 1) for _, v in tests):
+                raise ValueError("condition value must be 0 or 1")
+            if len({bit for bit, _ in tests}) != len(tests):
+                raise ValueError("repeated clbit in condition")
+            condition = memo[cond] = frozenset(tests)
+        for bit, _ in condition:
+            if bit not in written:
+                clean = False
+    params = () if angle is None else memo.get(angle)
+    if params is None:
+        value = _angle(angle[1:-1])
+        params = memo[angle] = (value,)
+        if type(value) is not float or not math.isfinite(value):  # 1e400, (-8)^0.5
+            clean = False
+    ops.append(_new(Operation, (name, qubits, params, None, condition)))
+    return clean
+
+
+def _declare(
+    kind: str, name: str, size: int, regs: dict[str, tuple[str, int, int]], ops: list[Operation]
 ) -> None:
-    """Check one matched statement against the registers declared so far and
-    append its operation, if it has one.  Raises ValueError.  An operand
-    whose text is in memo passed its checks before, against the same
-    registers (none may follow an operation), so its value is reused; only
-    values that pass are stored, so a bad operand fails at its own
-    statement, in the same check order."""
-    name = m["op"]
-    if name is not None:  # a gate, reset or barrier, maybe conditioned
-        angle, cond, args = m["angle"], m["cond"], m["args"]
-        qubits = memo.get(args)
-        if qubits is None:
-            qubits = memo[args] = tuple(_index(regs, r, i, "q") for r, i, _ in _PARTS.findall(args))
-        if name == "barrier" and angle is None and cond is None:
-            ops.append(Operation("barrier", qubits))
-            return
-        if name not in GATE_PARAM_COUNT and name != "reset":
-            raise ValueError(f"unknown gate {name!r}")
-        arity = 2 if name in TWO_QUBIT_GATES else 1
-        if len(qubits) != arity:
-            raise ValueError(f"{name} takes {arity} qubit(s), got {len(qubits)}")
-        want = GATE_PARAM_COUNT.get(name, 0)
-        if want != (angle is not None):
-            raise ValueError(f"{name} takes {want} angle(s)")
-        condition = None
-        if cond is not None:
-            condition = memo.get(cond)
-            if condition is None:
-                tests = [(_index(regs, r, i, "c"), int(v)) for r, i, v in _PARTS.findall(cond)]
-                if any(v not in (0, 1) for _, v in tests):
-                    raise ValueError("condition value must be 0 or 1")
-                if len({bit for bit, _ in tests}) != len(tests):
-                    raise ValueError("repeated clbit in condition")
-                condition = memo[cond] = frozenset(tests)
-        params = () if angle is None else memo.get(angle)
-        if params is None:
-            params = memo[angle] = (_angle(angle[1:-1]),)
-        ops.append(Operation(name, qubits, params, condition=condition))
-    elif m["measure"] is not None:
-        (q, qi, _), (c, ci, _) = _PARTS.findall(m["measure"])
-        ops.append(Operation("measure", (_index(regs, q, qi, "q"),), clbit=_index(regs, c, ci, "c")))
-    elif m["reg"] is not None:
-        name, kind, size = m["name"], m["reg"], int(m["size"])
-        if name in regs:
-            raise ValueError(f"register {name!r} already declared")
-        if size <= 0:
-            raise ValueError(f"register {name!r} must have positive size")
-        if ops:
-            raise ValueError("register declarations must precede operations")
-        regs[name] = (kind, sum(s for k, _, s in regs.values() if k == kind), size)
+    """Add a register of kind "q" or "c" after those of its kind; raises
+    ValueError."""
+    if name in regs:
+        raise ValueError(f"register {name!r} already declared")
+    if size <= 0:
+        raise ValueError(f"register {name!r} must have positive size")
+    if ops:
+        raise ValueError("register declarations must precede operations")
+    regs[name] = (kind, sum(s for k, _, s in regs.values() if k == kind), size)
 
 
 def _index(regs: dict[str, tuple[str, int, int]], name: str, idx: str, kind: str) -> int:

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+import re
 
-from dynlayout import LogicalPhysicalMap, contiguous_assignment, star_topology
+from dynlayout import LogicalPhysicalMap, contiguous_assignment, star_topology, qasm
 from dynlayout.cidq import CidqList, CidqSet
-from dynlayout.control import MAX_HOP, ConfigError, QubitControllerMap
+from dynlayout.circuit import GATE_PARAM_COUNT, TWO_QUBIT_GATES, Circuit, Operation
+from dynlayout.control import MAX_HOP, ConfigError, QubitControllerMap, fill_slots
 
 
 def random_cidq_list(rng: random.Random, n_qubits: int, n_sets: int) -> CidqList:
@@ -21,6 +23,37 @@ def random_cidq_list(rng: random.Random, n_qubits: int, n_sets: int) -> CidqList
     ld = CidqList(tuple(sets), n_qubits)
     ld.validate()
     return ld
+
+
+def reference_stage1(mc: QubitControllerMap, hypergraph, seed: int) -> LogicalPhysicalMap:
+    """Stage-1 greedy seeding as it was written before bitmask scoring: each
+    qubit's placed neighbours gathered from a set union of its incident
+    hyperedges and counted per controller in a dict."""
+    rng = random.Random(seed)
+    n, k = hypergraph.n_vertices, mc.k
+    free = [0] * k
+    for c in mc.assignment:
+        free[int(c)] += 1
+    placed_ctl: dict[int, int] = {}
+    placed_count = [0] * k
+    for q in sorted(range(n), key=lambda q: (-hypergraph.degree(q), q)):
+        eligible = [c for c in range(k) if free[c] > 0]
+        neighbours = set().union(*(hypergraph.hyperedges[e] for e in hypergraph.incidence[q])) - {q}
+        score: dict[int, int] = {}
+        for x in neighbours:
+            if x in placed_ctl:
+                score[placed_ctl[x]] = score.get(placed_ctl[x], 0) + 1
+        if score:
+            choice = max(eligible, key=lambda c: (score.get(c, 0), free[c], -c))
+        elif hypergraph.degree(q) > 0:
+            most_free = max(free[c] for c in eligible)
+            choice = rng.choice([c for c in eligible if free[c] == most_free])
+        else:
+            choice = max(eligible, key=lambda c: (placed_count[c], free[c], -c))
+        free[choice] -= 1
+        placed_count[choice] += 1
+        placed_ctl[q] = choice
+    return fill_slots(LogicalPhysicalMap(n, mc.m), mc, placed_ctl.items())
 
 
 def uniform_setup(n_qubits: int, k: int, capacity: int):
@@ -119,3 +152,98 @@ def reference_validate_hops(hop) -> None:
                     f"triangle inequality violated at ({i},{j}): "
                     f"hop {hop[i][j]} > relay {closure[i][j]}"
                 )
+
+
+# The parser's lexing and statement pattern as they were before the parser
+# made validate's checks itself: a reference for the faster forms.
+_ID = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_NUM = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+_ARG = rf"{_ID}\s*\[\s*\d+\s*\]"
+_TEST = rf"{_ARG}\s*==\s*\d+"
+REFERENCE_LEXEME = re.compile(r'"[^"]*"|//[^\n]*')
+REFERENCE_STATEMENT = re.compile(
+    rf"""\s*(?:
+        OPENQASM(?![A-Za-z0-9_])\s*{_NUM}
+      | include\s*"[^"]*"
+      | (?P<reg>[qc])reg\s+(?P<name>{_ID})\s*\[\s*(?P<size>\d+)\s*\]
+      | measure\s+(?P<measure>{_ARG}\s*->\s*{_ARG})
+      | (?:if\s*\(\s*(?P<cond>{_TEST}(?:\s*&&\s*{_TEST})*)\s*\)\s*)?
+        (?P<op>{_ID})\s*(?:(?P<angle>\(.*\))\s*)?(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)
+    )\s*""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_mask(text: str) -> str:
+    """A "string" keeps its place (its `;`s blanked), a // comment is dropped."""
+    return REFERENCE_LEXEME.sub(lambda m: m.group().replace(";", " ") if m.group()[0] == '"' else "", text)
+
+
+def reference_parse(text: str) -> Circuit:
+    """Parse statement by statement with the reference pattern, checking only
+    what a statement alone shows, then validate a fresh circuit of the ops:
+    the outcome parse_circuit must reproduce, circuit or error."""
+    text = reference_mask(text)
+    statements = text.split(";")
+    regs: dict[str, tuple[str, int, int]] = {}
+    ops: list[Operation] = []
+    start = 0
+    try:
+        for stmt in statements[:-1]:
+            m = REFERENCE_STATEMENT.fullmatch(stmt)
+            if m is None:
+                raise ValueError(f"malformed statement {stmt.strip()[:40]!r}")
+            _reference_statement(m, regs, ops)
+            start += len(stmt) + 1
+        if statements[-1].strip():
+            raise ValueError("missing ';' at end of statement")
+    except ValueError as exc:
+        stmt = text[start:].split(";", 1)[0]
+        at = start + len(stmt) - len(stmt.lstrip())
+        line = text.count("\n", 0, at) + 1
+        raise qasm.ParseError(str(exc), line, at - text.rfind("\n", 0, at)) from None
+    n_qubits, n_clbits = (sum(s for k, _, s in regs.values() if k == kind) for kind in "qc")
+    circuit = Circuit(n_qubits, n_clbits, tuple(ops))
+    circuit.validate()
+    return circuit
+
+
+def _reference_statement(m: re.Match, regs: dict, ops: list[Operation]) -> None:
+    index = qasm._index
+    name = m["op"]
+    if name is not None:
+        angle, cond, args = m["angle"], m["cond"], m["args"]
+        qubits = tuple(index(regs, r, i, "q") for r, i, _ in qasm._PARTS.findall(args))
+        if name == "barrier" and angle is None and cond is None:
+            ops.append(Operation("barrier", qubits))
+            return
+        if name not in GATE_PARAM_COUNT and name != "reset":
+            raise ValueError(f"unknown gate {name!r}")
+        arity = 2 if name in TWO_QUBIT_GATES else 1
+        if len(qubits) != arity:
+            raise ValueError(f"{name} takes {arity} qubit(s), got {len(qubits)}")
+        want = GATE_PARAM_COUNT.get(name, 0)
+        if want != (angle is not None):
+            raise ValueError(f"{name} takes {want} angle(s)")
+        condition = None
+        if cond is not None:
+            tests = [(index(regs, r, i, "c"), int(v)) for r, i, v in qasm._PARTS.findall(cond)]
+            if any(v not in (0, 1) for _, v in tests):
+                raise ValueError("condition value must be 0 or 1")
+            if len({bit for bit, _ in tests}) != len(tests):
+                raise ValueError("repeated clbit in condition")
+            condition = frozenset(tests)
+        params = () if angle is None else (qasm._angle(angle[1:-1]),)
+        ops.append(Operation(name, qubits, params, condition=condition))
+    elif m["measure"] is not None:
+        (q, qi, _), (c, ci, _) = qasm._PARTS.findall(m["measure"])
+        ops.append(Operation("measure", (index(regs, q, qi, "q"),), clbit=index(regs, c, ci, "c")))
+    elif m["reg"] is not None:
+        name, kind, size = m["name"], m["reg"], int(m["size"])
+        if name in regs:
+            raise ValueError(f"register {name!r} already declared")
+        if size <= 0:
+            raise ValueError(f"register {name!r} must have positive size")
+        if ops:
+            raise ValueError("register declarations must precede operations")
+        regs[name] = (kind, sum(s for k, _, s in regs.values() if k == kind), size)

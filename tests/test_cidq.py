@@ -86,11 +86,6 @@ class TestExtraction:
             ([1], [2]),
         ]
 
-    def test_hypergraph_neighbors(self):
-        hyper = build_hypergraph(dqft4_sets(), 4)
-        assert set(hyper.neighbors(0)) == {1, 2, 3}
-        assert set(hyper.neighbors(3)) == {0, 1, 2}
-
 
 class TestFig4Costs:
     """dQFT-4, k=2, capacity 2, uniform hop 1, pair mode: the three balanced

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlayout import (
     InstanceTooLarge,
@@ -11,9 +14,10 @@ from dynlayout import (
     star_topology,
     total_cost_L,
 )
-from dynlayout.cidq import CidqList, CidqSet
-from dynlayout.control import QubitControllerMap
-from helpers import random_cidq_list, uniform_setup
+from dynlayout import oracle
+from dynlayout.cidq import CidqList, CidqSet, set_costs
+from dynlayout.control import LogicalPhysicalMap, QubitControllerMap, fill_slots, matrix_topology
+from helpers import random_cidq_list, random_metric_hops, uniform_setup
 
 
 class TestGolden:
@@ -108,3 +112,63 @@ def test_oversized_instance_rejected():
     topo, mc = uniform_setup(30, 3, 30)
     with pytest.raises(InstanceTooLarge):
         brute_force_placement(ld, mc, topo, "pair")
+
+
+def per_leaf_brute_force(ld, mc, topo, mode):
+    """The oracle's enumeration with each feasible controller vector priced
+    by its own set_costs call: the reference for the stacked pricing."""
+    n, k = ld.n_qubits, topo.k
+    capacities = [mc.capacity(c) for c in range(k)]
+    symmetric = topo.is_uniform() and len(set(capacities)) == 1
+    best_cost, best = None, None
+    ctl_of, free = [0] * n, list(capacities)
+
+    def recurse(q):
+        nonlocal best_cost, best
+        if q == n:
+            cost = int(set_costs(ld, np.array(ctl_of), topo, mode).sum())
+            if best_cost is None or cost < best_cost:
+                best_cost, best = cost, list(ctl_of)
+            return
+        for c in range(1 if q == 0 and symmetric and k > 1 else k):
+            if free[c]:
+                free[c] -= 1
+                ctl_of[q] = c
+                recurse(q + 1)
+                free[c] += 1
+
+    recurse(0)
+    return best_cost, fill_slots(LogicalPhysicalMap(n, mc.m), mc, enumerate(best))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 7),
+    st.integers(2, 3),
+    st.sampled_from(["pair", "per_target"]),
+    st.booleans(),
+    st.sampled_from([None, 2, 3]),
+)
+def test_stacked_pricing_matches_per_leaf(seed, n, k, mode, metric, chunk):
+    """Same optimum and mapping (the first minimum in enumeration order),
+    whether stacks are full, partial or hold one vector, under star hops
+    (with and without the symmetry pin) and metric hops."""
+    rng = random.Random(seed)
+    ld = random_cidq_list(rng, n, rng.randint(1, 5))
+    topo = matrix_topology(random_metric_hops(rng, k)) if metric else star_topology(k)
+    if rng.random() < 0.5:
+        mc = contiguous_assignment(k * n, k)  # equal capacities
+    else:
+        sizes = [rng.randint(1, n) for _ in range(k)]
+        sizes[0] += max(0, n - sum(sizes))  # room for every qubit
+        mc = QubitControllerMap(k, tuple(c for c in range(k) for _ in range(sizes[c])))
+    want_cost, want = per_leaf_brute_force(ld, mc, topo, mode)
+    saved = oracle.CHUNK
+    try:
+        if chunk is not None:
+            oracle.CHUNK = chunk
+        got_cost, got = brute_force_placement(ld, mc, topo, mode)
+    finally:
+        oracle.CHUNK = saved
+    assert (got_cost, got.forward) == (want_cost, want.forward)

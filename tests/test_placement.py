@@ -30,7 +30,13 @@ from dynlayout import (
 from dynlayout import placement
 from dynlayout.cidq import CidqList, CidqSet, cost_lower_bound
 from dynlayout.placement import random_layout, run_pass
-from helpers import complete_random_mapping, random_cidq_list, random_metric_hops, uniform_setup
+from helpers import (
+    complete_random_mapping,
+    random_cidq_list,
+    random_metric_hops,
+    reference_stage1,
+    uniform_setup,
+)
 
 
 def fig5_instance():
@@ -88,6 +94,17 @@ class TestApplyMovement:
         ld, topo, mc, mq = fig5_instance()
         with pytest.raises(InvalidMovement):
             apply_movement(mq, Movement("relocate", 2, 0, 1), mc)
+
+    def test_relocation_onto_own_controller_rejected(self):
+        # a free slot on its own controller is no relocation: qubit 0 sits on
+        # physical 1 of controller 0, whose physical 0 is free
+        topo, mc = uniform_setup(2, 2, 2)
+        from helpers import explicit_mapping
+
+        mq = explicit_mapping([1], 4)
+        with pytest.raises(InvalidMovement, match="own controller"):
+            apply_movement(mq, Movement("relocate", 0, 0, 0), mc)
+        assert apply_movement(mq, Movement("relocate", 0, 0, 1), mc).physical(0) == 2
 
     def test_full_controller_rejected(self):
         ld = CidqList((CidqSet(0, frozenset({0}), frozenset({1})),), 4)
@@ -245,6 +262,23 @@ class TestStage1:
         hyper = build_hypergraph(ld, 5)
         with pytest.raises(ConfigError):
             stage1_greedy(mc, ld, hyper, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 24),
+        n_sets=st.integers(0, 30),
+        k=st.integers(1, 6),
+        spare=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_set_union_scoring(self, n, n_sets, k, spare, seed):
+        # few and many placed neighbours per qubit, so both ways of counting
+        # them per controller are taken; unequal capacities when k does not
+        # divide the slot count
+        ld = random_cidq_list(random.Random(seed), n, n_sets)
+        mc = contiguous_assignment(max(n + spare, k), k)
+        hyper = build_hypergraph(ld, n)
+        assert stage1_greedy(mc, ld, hyper, seed=seed) == reference_stage1(mc, hyper, seed)
 
     def test_absent_qubits_fill_compactly(self):
         # one feedforward pair plus four untouched qubits: everything should

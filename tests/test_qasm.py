@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dynlayout import CircuitError, ParseError, generate, parse_circuit, qasm, serialize_circuit
 from dynlayout.circuit import Circuit, Operation
+from helpers import REFERENCE_STATEMENT, reference_mask, reference_parse
 
 GOLDEN = """\
 OPENQASM 2.0;
@@ -251,3 +252,102 @@ def test_edited_benchmark_text_parses_or_is_rejected(family, n, seed):
     rng = random.Random(seed)
     text = serialize_circuit(generate(family, n, seed=seed % 7))
     _parse_or_reject(_mutate(text, rng))
+
+
+_GOOD_ANGLES = ["pi/4", "-pi/2^3", "0.5"]
+_BAD_ANGLES = ["1e400", "-1e400", "(-8)^0.5", "1e308*10", "2^10000", "1/0", "pi pi"]
+_ODD_STATEMENTS = [
+    "qreg q[2], r[1]", "creg c [1]", "qreg(1) q[2]", "qreg  r[1]  ", "if (c[0]==1) q[0]", "hq[0]",
+    "measure q[0]->c[0]", "measure q[0]", "measure q[0], q[1]", "OPENQASM 2.0", "OPENQASM2",
+    'include "a;b"', "barrier", "if (c[0]==1) barrier q[0]", "if (c[0]==1) measure q[0] -> c[0]",
+    "u1 q[0]", "h(pi) q[0]", "reset q[0], q[1]", "x q[0] // c;", "", "  ", "y q[0]",
+]
+
+
+@st.composite
+def statement_soups(draw):
+    """Program text mixing good statements with ones that fail a check of
+    the parser or of validate: repeated operands, non-finite or complex
+    angles, conditions on clbits no measure wrote yet, registers after ops,
+    measures without a target, and other near misses.  The failing kinds are
+    drawn rarely, so that many texts parse and many fail on one of them."""
+    n_q, n_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    qubit = st.sampled_from([*range(n_q)] * 8 + [n_q])  # n_q is out of range
+    clbit = st.sampled_from([*range(n_c)] * 8 + [n_c])
+    lines = draw(st.lists(st.sampled_from(["OPENQASM 2.0", 'include "qelib1.inc"']), max_size=1))
+    if draw(st.integers(0, 19)):
+        lines.append(f"qreg q[{n_q}]")
+    if draw(st.integers(0, 9)):
+        lines.append(f"creg c[{n_c}]")
+    kinds = ["one"] * 4 + ["u1"] * 3 + ["two"] * 3 + ["measure"] * 4 + ["barrier", "odd", "reg"]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "one":
+            stmt = f"{draw(st.sampled_from(['h', 'x', 'z', 'reset']))} q[{draw(qubit)}]"
+        elif kind == "u1":
+            angles = _GOOD_ANGLES * 3 + _BAD_ANGLES
+            stmt = f"u1({draw(st.sampled_from(angles))}) q[{draw(qubit)}]"
+        elif kind == "two":  # operands drawn independently, so at times repeated
+            stmt = f"{draw(st.sampled_from(['cx', 'cz', 'swap']))} q[{draw(qubit)}], q[{draw(qubit)}]"
+        elif kind == "barrier":
+            stmt = "barrier " + ", ".join(f"q[{q}]" for q in draw(st.lists(qubit, min_size=1, max_size=3)))
+        elif kind == "measure":
+            stmt = f"measure q[{draw(qubit)}] -> c[{draw(clbit)}]"
+        elif kind == "odd":
+            stmt = draw(st.sampled_from(_ODD_STATEMENTS))
+        else:
+            stmt = draw(st.sampled_from(["qreg r[1]", "creg d[1]", f"qreg q[{n_q}]"]))
+        if kind in ("one", "u1", "two") and draw(st.booleans()):
+            bits = draw(st.lists(clbit, min_size=1, max_size=2, unique=draw(st.integers(0, 9)) > 0))
+            values = st.sampled_from([0, 1] * 8 + [2])
+            stmt = "if (" + " && ".join(f"c[{b}]=={draw(values)}" for b in bits) + f") {stmt}"
+        lines.append(stmt)
+    text = "".join(f"{stmt};\n" for stmt in lines)
+    return text if draw(st.integers(0, 39)) else text + "h q[0]"
+
+
+def _outcome(parse, text):
+    """The circuit, or (type, message, line, col) of the error raised."""
+    try:
+        return parse(text)
+    except (ParseError, CircuitError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(statement_soups())
+def test_parse_equals_parse_then_validate(text):
+    got = _outcome(parse_circuit, text)
+    assert got == _outcome(reference_parse, text)
+    if isinstance(got, Circuit):
+        assert "_valid" in got.__dict__  # recorded, so validate returns at once
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["dqft", "ipe", "cc", "random"]),
+    st.integers(4, 6),
+    st.integers(0, 10**6),
+)
+def test_edited_benchmark_text_parses_as_reference(family, n, seed):
+    rng = random.Random(seed)
+    text = _mutate(serialize_circuit(generate(family, n, seed=seed % 7)), rng)
+    assert _outcome(parse_circuit, text) == _outcome(reference_parse, text)
+
+
+def _same_match(a, b) -> bool:
+    return (a is None) == (b is None) and (a is None or a.groupdict() == b.groupdict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(statement_soups(), st.text(_QASM_ALPHABET, max_size=60)))
+def test_statement_pattern_matches_as_todays(text):
+    for stmt in reference_mask(text).split(";"):
+        want = REFERENCE_STATEMENT.fullmatch(stmt)
+        assert _same_match(qasm._STATEMENT.fullmatch(stmt), want), stmt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text('"/;\nab ', max_size=40))
+def test_mask_drops_comments_and_blanks_strings_as_todays(text):
+    assert qasm._mask(text) == reference_mask(text)
